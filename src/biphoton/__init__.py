@@ -12,7 +12,6 @@ family has a full closed-form solution that serves as the test oracle
 for the numerical pipeline.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .amplitudes import (
     SPEED_OF_LIGHT,
     AmplitudeFamily,
@@ -55,6 +54,9 @@ from .schmidt import (
 )
 
 __version__ = "0.1.0"
+
+KERNEL_BACKEND = "python"
+"""Amplitude-fill backend; the NumPy kernel in ``_kernels`` is the only one."""
 
 __all__ = [
     "SPEED_OF_LIGHT",

@@ -5,7 +5,10 @@ wavevector and differ in the phase-matching factor applied to the
 difference vector: a Gaussian for the double-Gaussian family and
 sin(x)/x for the sinc family. Amplitudes are real, rotationally
 invariant, and symmetric under photon exchange, so every pipeline stage
-works with the magnitudes (k, q) and the relative azimuth only.
+works with the magnitudes (k, q) and the relative azimuth only. The
+formula itself lives in ``_kernels.amplitude``, which the pointwise
+:func:`evaluate` and the NumPy block fill behind every grid integral
+share.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .grids import RadialGrid, angular_grid
+from .grids import RadialGrid
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -92,12 +95,12 @@ class AmplitudeModel:
     norm_constant: float | None = None
 
     def __post_init__(self):
-        if self.sigma_perp <= 0:
-            raise ValueError("sigma_perp must be positive")
-        if self.b <= 0:
-            raise ValueError("b must be positive")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
+        if not (math.isfinite(self.sigma_perp) and self.sigma_perp > 0):
+            raise ValueError("sigma_perp must be positive and finite")
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError("b must be positive and finite")
+        if not (math.isfinite(self.cutoff) and self.cutoff >= 0):
+            raise ValueError("cutoff must be nonnegative and finite")
         if self.norm_constant is not None and self.norm_constant <= 0:
             raise ValueError("norm_constant must be positive when set")
 
@@ -134,14 +137,6 @@ def _require_normalized(model: AmplitudeModel) -> None:
         raise ValueError("normalize first")
 
 
-def _phase_matching(family: AmplitudeFamily, arg: float) -> float:
-    if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
-        return math.exp(-arg)
-    if arg == 0.0:
-        return 1.0
-    return math.sin(arg) / arg
-
-
 def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) -> float:
     """Amplitude value at one pair of transverse wavevectors.
 
@@ -155,9 +150,10 @@ def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) ->
     ka = k.k_mag / model.sigma_perp
     qa = q.k_mag / model.sigma_perp
     s = ka * ka + qa * qa
-    x = 2.0 * ka * qa * math.cos(k.theta - q.theta)
-    t2 = model.b_sigma**2
-    return model.norm_constant * math.exp(-(s + x)) * _phase_matching(model.family, t2 * (s - x))
+    xc = 2.0 * ka * qa * math.cos(k.theta - q.theta)
+    code = model.family.kernel_code
+    value = _kernels.amplitude(code, s, np.array([xc]), model.b_sigma)[0]
+    return model.norm_constant * float(value)
 
 
 def unit_norm_integral(
@@ -175,19 +171,12 @@ def unit_norm_integral(
     units with the normalization constant set to one; block evaluation
     keeps the memory footprint flat.
     """
-    k = grid.nodes
-    w = grid.weights
-    n = grid.count
-    _, cos_dtheta = angular_grid(n_theta)
-    wk = w * k
+    wk = grid.weights * grid.nodes
     total = 0.0
-    buf = np.empty((min(block_rows, n), n, n_theta))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        out = buf[: stop - start]
-        _kernels.fill_amplitude_block(
-            out, model.family.kernel_code, k[start:stop], k, cos_dtheta, model.b_sigma
-        )
+    blocks = _kernels.row_blocks(
+        model.family.kernel_code, model.b_sigma, grid, n_theta, block_rows
+    )
+    for start, stop, out in blocks:
         np.square(out, out=out)
         total += float(wk[start:stop] @ out.sum(axis=2) @ wk)
     return total * (2.0 * np.pi) * (2.0 * np.pi / n_theta)

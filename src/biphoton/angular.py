@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized
-from .grids import RadialGrid, angular_grid
+from .grids import RadialGrid
 
 __all__ = [
     "SectorKernel",
@@ -58,30 +58,20 @@ class SectorKernel:
     grid: RadialGrid = field(repr=False)
 
 
-def _fourier_pass(model, grid, n_theta, m_keep, block_rows=16):
+def _fourier_pass(model, grid, n_theta, m_keep):
     """One sweep over the radial grid: coefficients and sector weights.
 
     Returns (gcoef, p_all) where gcoef holds the Fourier coefficients
     G_m(k_i, k_j) for m <= m_keep (or None when m_keep is None) and p_all
-    holds P_m for every m up to n_theta // 2. The amplitude tensor is
-    evaluated in row blocks so the full (N, N, n_theta) array never
-    materializes.
+    holds P_m for every m up to n_theta // 2.
     """
-    k = grid.nodes
-    w = grid.weights
     n = grid.count
-    _, cos_dtheta = angular_grid(n_theta)
-    wk = w * k
+    wk = grid.weights * grid.nodes
     scale = model.unit_norm_constant / n_theta
     gcoef = None if m_keep is None else np.empty((n, n, m_keep + 1))
     p_all = np.zeros(n_theta // 2 + 1)
-    buf = np.empty((min(block_rows, n), n, n_theta))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        out = buf[: stop - start]
-        _kernels.fill_amplitude_block(
-            out, model.family.kernel_code, k[start:stop], k, cos_dtheta, model.b_sigma
-        )
+    blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
+    for start, stop, out in blocks:
         gb = np.fft.rfft(out, axis=2).real
         gb *= scale
         p_all += np.einsum("i,j,ijm->m", wk[start:stop], wk, gb * gb)

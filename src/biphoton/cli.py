@@ -77,7 +77,7 @@ def _write_csv(path, metadata, header, rows) -> None:
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized, unit_norm_integral
-from .grids import build_radial_grid, default_k_max
+from .grids import angular_grid, build_radial_grid, default_k_max
 from .measures import SchmidtSpectrum
 from .pipeline import FILTERED_KMAX_STRETCH, decompose
 
@@ -137,19 +138,12 @@ def slice_intensity(
     [k, dtheta]. A cutoff on the model zeroes rows below it.
     """
     k = np.asarray(k_values, dtype=float)
-    dtheta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    cos_dtheta = np.cos(dtheta)
-    t2 = model.b_sigma**2
-    k2 = (k * k)[:, np.newaxis]
-    plus = 2.0 * k2 * (1.0 + cos_dtheta[np.newaxis, :])
-    arg = 2.0 * t2 * k2 * (1.0 - cos_dtheta[np.newaxis, :])
-    if model.family.kernel_code == 0:
-        shape = np.exp(-plus - arg)
-    else:
-        ratio = np.sin(arg)
-        np.divide(ratio, arg, out=ratio, where=arg != 0.0)
-        np.copyto(ratio, 1.0, where=arg == 0.0)
-        shape = np.exp(-plus) * ratio
+    dtheta, cos_dtheta = angular_grid(n_theta)
+    # With q = k, s = 2 k^2 and xc = 2 k^2 cos(dtheta), rounded as in the tensor fill.
+    two_k2 = 2.0 * (k * k)[:, np.newaxis]
+    shape = _kernels.amplitude(
+        model.family.kernel_code, two_k2, two_k2 * cos_dtheta, model.b_sigma
+    )
     intensity = shape * shape
     if model.cutoff > 0.0:
         intensity[k < model.cutoff, :] = 0.0

@@ -124,7 +124,6 @@ def variance_K_estimate(
     model: AmplitudeModel,
     grid: RadialGrid,
     n_theta: int = 512,
-    block_rows: int = 16,
 ) -> float:
     """Schmidt number estimated from second moments of the intensity.
 
@@ -141,22 +140,15 @@ def variance_K_estimate(
             stacklevel=2,
         )
     k = grid.nodes
-    w = grid.weights
-    n = grid.count
     _, cos_dtheta = angular_grid(n_theta)
-    wk = w * k
+    wk = grid.weights * k
     wk2 = wk * k * k
     wkk = wk * k
     norm_sum = 0.0
     v_sum = 0.0
     w_sum = 0.0
-    buf = np.empty((min(block_rows, n), n, n_theta))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        out = buf[: stop - start]
-        _kernels.fill_amplitude_block(
-            out, model.family.kernel_code, k[start:stop], k, cos_dtheta, model.b_sigma
-        )
+    blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
+    for start, stop, out in blocks:
         np.square(out, out=out)
         plain = out.sum(axis=2)
         weighted = out @ cos_dtheta

@@ -9,6 +9,7 @@ physics input is the control parameter b_sigma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .amplitudes import AmplitudeModel, normalize
@@ -33,8 +34,8 @@ class SweepRange:
     log: bool = False
 
     def __post_init__(self):
-        if self.start <= 0 or self.stop <= 0:
-            raise ValueError("sweep endpoints must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.start, self.stop)):
+            raise ValueError("sweep endpoints must be positive and finite")
         if self.count < 2:
             raise ValueError("sweep count must be at least 2")
 
@@ -69,20 +70,22 @@ class RunConfig:
     def __post_init__(self):
         if self.family not in {"gaussian", "sinc", "both"}:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.b_sigma is not None and self.b_sigma <= 0:
-            raise ValueError("b_sigma must be positive")
+        if self.b_sigma is not None and not (
+            math.isfinite(self.b_sigma) and self.b_sigma > 0
+        ):
+            raise ValueError("b_sigma must be positive and finite")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
-        if self.kmax_factor <= 0:
-            raise ValueError("kmax_factor must be positive")
+        if not (math.isfinite(self.kmax_factor) and self.kmax_factor > 0):
+            raise ValueError("kmax_factor must be positive and finite")
         if self.n_theta < 64 or self.n_theta & (self.n_theta - 1):
             raise ValueError("n_theta must be a power of two, at least 64")
         if not 0.0 < self.sector_tol < 1.0:
             raise ValueError("sector_tol must be in (0, 1)")
         if self.m_max is not None and self.m_max < 0:
             raise ValueError("m_max must be nonnegative")
-        if self.mu_c < 0:
-            raise ValueError("mu_c must be nonnegative")
+        if not (math.isfinite(self.mu_c) and self.mu_c >= 0):
+            raise ValueError("mu_c must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

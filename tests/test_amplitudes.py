@@ -15,6 +15,7 @@ from biphoton import (
     normalize,
     unit_norm_integral,
 )
+from biphoton import _kernels
 
 
 def _normalized(family, t, n=200, n_theta=512):
@@ -39,6 +40,13 @@ def test_model_validation():
         AmplitudeModel(AmplitudeFamily.GAUSSIAN_SINC, cutoff=-0.1)
     with pytest.raises(ValueError):
         TransverseVector(k_mag=-1.0, theta=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            AmplitudeModel(AmplitudeFamily.GAUSSIAN_SINC, sigma_perp=bad)
+        with pytest.raises(ValueError, match="finite"):
+            AmplitudeModel.from_b_sigma("sinc", bad)
+        with pytest.raises(ValueError, match="finite"):
+            AmplitudeModel.from_b_sigma("sinc", 0.5, cutoff=bad)
 
 
 def test_evaluate_requires_normalization():
@@ -95,6 +103,29 @@ def test_evaluate_sinc_removable_singularity():
     value = evaluate(model, TransverseVector(1.0, 0.0), TransverseVector(1.0, 0.0))
     # k = q and dtheta = 0 makes the phase-matching argument vanish.
     assert value == pytest.approx(model.norm_constant * math.exp(-4.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "sinc"])
+def test_fill_block_matches_evaluate(family):
+    t = 0.35
+    model = AmplitudeModel(AmplitudeFamily(family), b=t, norm_constant=1.0)
+    rng = np.random.default_rng(11)
+    k_rows = rng.uniform(0.05, 3.0, size=5)
+    k = np.append(rng.uniform(0.05, 3.0, size=6), k_rows[2])
+    dtheta = np.append(rng.uniform(-np.pi, np.pi, size=8), 0.0)
+    out = np.empty((k_rows.size, k.size, dtheta.size))
+    _kernels.fill_amplitude_block(
+        out, model.family.kernel_code, k_rows, k, np.cos(dtheta), t
+    )
+    for r, kr in enumerate(k_rows):
+        for j, kj in enumerate(k):
+            for u, du in enumerate(dtheta):
+                expected = evaluate(
+                    model, TransverseVector(kr, du), TransverseVector(kj, 0.0)
+                )
+                assert out[r, j, u] == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # k = q at dtheta = 0 puts the sinc argument at exactly zero: sinc(0) = 1.
+    assert out[2, -1, -1] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
 
 
 def test_cutoff_step():

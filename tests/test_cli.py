@@ -124,6 +124,15 @@ def test_decompose_rejects_family_both(workdir, capsys):
 def test_invalid_run_parameters_exit_2(workdir):
     assert main(["decompose", "--family", "sinc", "--bsigma", "-1"]) == 2
     assert main(["decompose", "--family", "sinc", "--bsigma", "1", "--ntheta", "100"]) == 2
+    # non-finite values fail validation instead of reaching the numerics
+    decompose = ["decompose", "--family", "sinc"]
+    assert main([*decompose, "--bsigma", "nan"]) == 2
+    assert main([*decompose, "--bsigma", "1", "--mu-c", "nan"]) == 2
+    assert main([*decompose, "--bsigma", "1", "--kmax-factor", "inf"]) == 2
+    assert main(["sweep", "--family", "sinc", "--bsigma-range", "0.5:nan:3"]) == 2
+    assert main(["oracle", "--bsigma", "inf"]) == 2
+    assert main(["oracle", "--bsigma", "nan"]) == 2
+    assert not any(workdir.iterdir())
 
 
 def test_csv_only_commands_reject_json(workdir):

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -15,7 +14,6 @@ from biphoton import (
     analytic_mode,
     decompose,
 )
-from biphoton._kernels import _ref
 
 
 def test_runconfig_validation():
@@ -34,6 +32,13 @@ def test_runconfig_validation():
         RunConfig(m_max=-2)
     with pytest.raises(ValueError, match="mu_c"):
         RunConfig(mu_c=-0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="b_sigma"):
+            RunConfig(b_sigma=bad)
+        with pytest.raises(ValueError, match="kmax_factor"):
+            RunConfig(kmax_factor=bad)
+        with pytest.raises(ValueError, match="mu_c"):
+            RunConfig(mu_c=bad)
 
 
 def test_sweep_range_points():
@@ -45,6 +50,10 @@ def test_sweep_range_points():
         SweepRange(1.0, 2.0, 1)
     with pytest.raises(ValueError, match="positive"):
         SweepRange(-1.0, 2.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        SweepRange(0.5, float("nan"), 3)
+    with pytest.raises(ValueError, match="finite"):
+        SweepRange(float("inf"), 2.0, 3)
 
 
 def test_gaussian_run_matches_closed_forms():
@@ -107,46 +116,12 @@ def test_n_theta_recovery_after_doubling():
     assert result.spectrum.k == pytest.approx(reference.spectrum.k, rel=1e-9)
 
 
-def test_kernel_backends_agree():
-    pytest.importorskip("biphoton._kernels._fast")
-    from biphoton._kernels import _fast
-
-    rng = np.random.default_rng(3)
-    k_rows = rng.uniform(0.1, 4.0, size=5)
-    k = rng.uniform(0.1, 4.0, size=7)
-    cos_dtheta = np.cos(2.0 * np.pi * np.arange(16) / 16)
-    for family in (_ref.GAUSSIAN, _ref.SINC):
-        ref_out = np.empty((5, 7, 16))
-        fast_out = np.empty((5, 7, 16))
-        _ref.fill_amplitude_block(ref_out, family, k_rows, k, cos_dtheta, 0.35)
-        _fast.fill_amplitude_block(fast_out, family, k_rows, k, cos_dtheta, 0.35)
-        assert float(np.max(np.abs(ref_out - fast_out))) < 1e-12
-
-
-def test_backend_env_selection():
-    code = "import biphoton; print(biphoton.KERNEL_BACKEND)"
-    env = dict(os.environ, BIPHOTON_KERNEL="python")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
-    env = dict(os.environ, BIPHOTON_KERNEL="nonsense")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
-
-
 def test_python_backend_full_run():
-    env = dict(os.environ, BIPHOTON_KERNEL="python")
     code = (
         "import biphoton; r = biphoton.decompose('gaussian', 0.5, grid_n=80, "
         "n_theta=128, m_max=20); print(repr(r.spectrum.k))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     k = float(out.stdout.strip())
     assert k == pytest.approx(analytic_K(0.5), rel=1e-4)
