@@ -138,7 +138,7 @@ def adaptive_sectors(
     grid: RadialGrid,
     sector_tol: float = 1e-6,
     n_theta: int = 512,
-) -> tuple[list[SectorKernel], float]:
+) -> tuple[list[SectorKernel], int]:
     """Grow m_max until the captured probability reaches 1 - sector_tol.
 
     Follows a doubling schedule starting at m_max = 8. A cheap scan pass
@@ -147,8 +147,7 @@ def adaptive_sectors(
     even m_max = n_theta / 2 - 1 cannot reach the target, n_theta is
     doubled (at most twice) before giving up.
 
-    Returns the sector list and its coverage; the coverage equals the
-    summed p_m of the returned list exactly.
+    Returns the sector list and the n_theta it was computed with.
     """
     _require_normalized(model)
     if not 0.0 < sector_tol < 1.0:
@@ -162,8 +161,7 @@ def adaptive_sectors(
         m_max = 8
         while m_max < n_theta // 2:
             if cumulative[m_max] >= target:
-                sectors = angular_fourier(model, grid, m_max, n_theta)
-                return sectors, sector_coverage(sectors)
+                return angular_fourier(model, grid, m_max, n_theta), n_theta
             m_max *= 2
         n_theta *= 2
     raise ValueError("angular resolution exhausted")

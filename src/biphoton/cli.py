@@ -12,17 +12,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from .amplitudes import AmplitudeModel, crystal_b, normalize
 from .filtering import apply_filter, slice_intensity
 from .gaussian import analytic_K, analytic_spectrum, xi_of
-from .grids import build_radial_grid, default_k_max
-from .pipeline import RunConfig, SweepRange, decompose
+from .pipeline import RunConfig, SweepRange, _check_type, decompose
 from .schmidt import radial_node_count
 
 __all__ = ["main"]
@@ -34,21 +35,28 @@ SLICE_K_MAX = 4.0
 SLICE_K_COUNT = 201
 """Radial grid of the slice command; chosen so k = 2 lands on a node."""
 
-_DEFAULTS: dict = {
-    "family": "sinc",
-    "bsigma": None,
-    "bsigma_range": None,
-    "grid_n": 200,
-    "kmax_factor": 8.0,
-    "ntheta": 512,
-    "sector_tol": 1e-6,
-    "m_max": None,
-    "mu_c": 0.0,
+_RUN_KEYS = {
+    "family": "family",
+    "bsigma": "b_sigma",
+    "bsigma_range": "sweep",
+    "grid_n": "grid_n",
+    "kmax_factor": "kmax_factor",
+    "ntheta": "n_theta",
+    "sector_tol": "sector_tol",
+    "m_max": "m_max",
+    "mu_c": "mu_c",
+}
+"""Config keys of the run settings and the RunConfig fields they set.
+
+RunConfig holds their defaults and checks them."""
+
+_OPTIONS: dict = {
     "format": None,
     "out": None,
     "threads": 1,
     "numerical_gaussian": False,
 }
+"""Execution-only config keys and their defaults."""
 
 
 class _ConfigError(ValueError):
@@ -163,8 +171,6 @@ def _parse_range(text: str) -> SweepRange:
 
 
 def _as_range(value) -> SweepRange:
-    if isinstance(value, SweepRange):
-        return value
     if isinstance(value, str):
         return _parse_range(value)
     if isinstance(value, dict):
@@ -194,7 +200,7 @@ def _parse_mode(text: str) -> tuple[int, int]:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
+    merged = dict(_OPTIONS)
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -205,16 +211,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise _ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise _ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_DEFAULTS))
+        unknown = sorted(set(file_cfg) - set(_RUN_KEYS) - set(_OPTIONS))
         if unknown:
             raise _ConfigError(f"unknown config keys: {', '.join(unknown)}")
         merged.update(file_cfg)
-    for key in _DEFAULTS:
+    for key in (*_RUN_KEYS, *_OPTIONS):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     if args.physical:
-        if merged["bsigma"] is not None:
+        if merged.get("bsigma") is not None:
             raise _ConfigError("--physical and --bsigma are mutually exclusive")
         missing = [
             flag
@@ -238,21 +244,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _build_runconfig(merged: dict) -> RunConfig:
-    sweep = None
-    if merged["bsigma_range"] is not None:
-        sweep = _as_range(merged["bsigma_range"])
-    b_sigma = merged["bsigma"]
-    return RunConfig(
-        family=merged["family"],
-        b_sigma=None if b_sigma is None else float(b_sigma),
-        sweep=sweep,
-        grid_n=int(merged["grid_n"]),
-        kmax_factor=float(merged["kmax_factor"]),
-        n_theta=int(merged["ntheta"]),
-        sector_tol=float(merged["sector_tol"]),
-        m_max=None if merged["m_max"] is None else int(merged["m_max"]),
-        mu_c=float(merged["mu_c"]),
-    )
+    fields = {name: merged[key] for key, name in _RUN_KEYS.items() if key in merged}
+    if fields.get("sweep") is not None:
+        fields["sweep"] = _as_range(fields["sweep"])
+    return RunConfig(**fields)
 
 
 def _require_single_family(cfg: RunConfig, command: str) -> None:
@@ -270,16 +265,7 @@ def _cmd_decompose(cfg: RunConfig, opts: dict) -> int:
     _require_single_family(cfg, "decompose")
     t = _require_b_sigma(cfg)
     fmt = opts["format"] or "csv"
-    result = decompose(
-        cfg.family,
-        t,
-        grid_n=cfg.grid_n,
-        kmax_factor=cfg.kmax_factor,
-        n_theta=cfg.n_theta,
-        sector_tol=cfg.sector_tol,
-        m_max=cfg.m_max,
-        mu_c=cfg.mu_c,
-    )
+    result = decompose(cfg.family, t, **cfg.settings())
     spectrum = result.spectrum
     echo = _config_echo(cfg)
     csv_path, json_path = _resolve_pair(opts["out"], fmt, "decompose")
@@ -314,17 +300,7 @@ def _cmd_sweep(cfg: RunConfig, opts: dict) -> int:
                 if analytic:
                     row[column] = analytic_K(t)
                 else:
-                    res = decompose(
-                        fam,
-                        t,
-                        grid_n=cfg.grid_n,
-                        kmax_factor=cfg.kmax_factor,
-                        n_theta=cfg.n_theta,
-                        sector_tol=cfg.sector_tol,
-                        m_max=cfg.m_max,
-                        mu_c=cfg.mu_c,
-                    )
-                    row[column] = res.spectrum.k
+                    row[column] = decompose(fam, t, **cfg.settings()).spectrum.k
         except Exception as exc:  # recorded in-row; the sweep continues
             row["error"] = str(exc)
         return row
@@ -353,16 +329,7 @@ def _cmd_modes(cfg: RunConfig, opts: dict) -> int:
     if opts["format"] == "json":
         raise _ConfigError("modes output is CSV only")
     requests = [_parse_mode(text) for text in opts["modes"]]
-    result = decompose(
-        cfg.family,
-        t,
-        grid_n=cfg.grid_n,
-        kmax_factor=cfg.kmax_factor,
-        n_theta=cfg.n_theta,
-        sector_tol=cfg.sector_tol,
-        m_max=cfg.m_max,
-        mu_c=cfg.mu_c,
-    )
+    result = decompose(cfg.family, t, **cfg.settings())
     sectors = result.sector_spectra
     meta = _metadata(_config_echo(cfg))
     columns: list[tuple[str, np.ndarray]] = []
@@ -410,17 +377,9 @@ def _cmd_filter(cfg: RunConfig, opts: dict) -> int:
     _require_single_family(cfg, "filter")
     t = _require_b_sigma(cfg)
     fmt = opts["format"] or "json"
-    grid = build_radial_grid(cfg.grid_n, 0.0, default_k_max(t, cfg.kmax_factor))
+    grid = replace(cfg, mu_c=0.0).radial_grid()
     model = normalize(AmplitudeModel.from_b_sigma(cfg.family, t), grid, cfg.n_theta)
-    report = apply_filter(
-        model,
-        cfg.mu_c,
-        grid_n=cfg.grid_n,
-        kmax_factor=cfg.kmax_factor,
-        n_theta=cfg.n_theta,
-        sector_tol=cfg.sector_tol,
-        m_max=cfg.m_max,
-    )
+    report = apply_filter(model, **cfg.settings())
     echo = _config_echo(cfg)
     payload = {
         "config": echo,
@@ -594,10 +553,11 @@ def main(argv=None) -> int:
     try:
         merged = _merge_config(args)
         cfg = _build_runconfig(merged)
+        _check_type("threads", merged["threads"], numbers.Integral)
         opts = {
             "format": merged["format"],
             "out": merged["out"],
-            "threads": max(1, int(merged["threads"])),
+            "threads": max(1, merged["threads"]),
             "numerical_gaussian": bool(merged["numerical_gaussian"]),
             "modes": getattr(args, "modes", None),
         }

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized, unit_norm_integral
-from .grids import angular_grid, build_radial_grid, default_k_max
+from .grids import angular_grid
 from .measures import SchmidtSpectrum
-from .pipeline import FILTERED_KMAX_STRETCH, decompose
+from .pipeline import RunConfig, decompose
 
 __all__ = ["FilterReport", "angular_fwhm", "apply_filter", "slice_intensity"]
 
@@ -51,41 +51,25 @@ class FilterReport:
     filtered_spectrum: SchmidtSpectrum = field(repr=False)
 
 
-def apply_filter(
-    model: AmplitudeModel,
-    mu_c: float,
-    *,
-    grid_n: int = 200,
-    kmax_factor: float = 8.0,
-    n_theta: int = 512,
-    sector_tol: float = 1e-6,
-    m_max: int | None = None,
-) -> FilterReport:
+def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport:
     """Decompose the amplitude with wavevectors below mu_c removed.
 
-    The acceptance integrates the squared original amplitude over the
-    filtered domain [mu_c, stretched k_max] against the unfiltered
+    The settings are those of decompose, which both decompositions run
+    with. The acceptance integrates the squared original amplitude over
+    the filtered domain [mu_c, stretched k_max] against the unfiltered
     normalization, so it is a projection probability of the original
     state. The filtered quadrature starts exactly at the cutoff rather
     than multiplying a step function onto a straddling grid.
     """
+    cfg = RunConfig(
+        family=model.family.value, b_sigma=model.b_sigma, mu_c=mu_c, **settings
+    )
     _require_normalized(model)
     if model.cutoff > 0.0:
         raise ValueError("model already carries a cutoff; filter the unfiltered model")
-    if mu_c < 0.0:
-        raise ValueError("mu_c must be nonnegative")
 
-    t = model.b_sigma
-    original = decompose(
-        model.family,
-        t,
-        grid_n=grid_n,
-        kmax_factor=kmax_factor,
-        n_theta=n_theta,
-        sector_tol=sector_tol,
-        m_max=m_max,
-    )
-    if mu_c == 0.0:
+    original = decompose(cfg.family, cfg.b_sigma, **cfg.settings(mu_c=0.0))
+    if cfg.mu_c == 0.0:
         return FilterReport(
             mu_c=0.0,
             acceptance=1.0,
@@ -94,29 +78,14 @@ def apply_filter(
             filtered_spectrum=original.spectrum,
         )
 
-    k_hi = default_k_max(t, kmax_factor) * FILTERED_KMAX_STRETCH
-    if mu_c >= k_hi:
-        raise ValueError("cutoff exceeds the radial truncation")
-    filtered_grid = build_radial_grid(grid_n, mu_c, k_hi)
-    surviving = unit_norm_integral(
-        AmplitudeModel.from_b_sigma(model.family, t), filtered_grid, n_theta
-    )
+    surviving = unit_norm_integral(model, cfg.radial_grid(), cfg.n_theta)
     acceptance = min(surviving * original.model.unit_norm_constant**2, 1.0)
     if acceptance < ACCEPTANCE_FLOOR:
         raise ValueError("filter removes essentially all amplitude")
 
-    filtered = decompose(
-        model.family,
-        t,
-        grid_n=grid_n,
-        kmax_factor=kmax_factor,
-        n_theta=n_theta,
-        sector_tol=sector_tol,
-        m_max=m_max,
-        mu_c=mu_c,
-    )
+    filtered = decompose(cfg.family, cfg.b_sigma, **cfg.settings())
     return FilterReport(
-        mu_c=float(mu_c),
+        mu_c=float(cfg.mu_c),
         acceptance=float(acceptance),
         k_filtered=filtered.spectrum.k,
         k_original=original.spectrum.k,

@@ -35,10 +35,14 @@ __all__ = [
 ]
 
 
+def _require_positive(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("control parameter must be positive and finite")
+
+
 def xi_of(t: float) -> float:
     """Spectrum ratio xi = ((1 - t) / (1 + t))^2 for control parameter t."""
-    if t <= 0:
-        raise ValueError("control parameter must be positive")
+    _require_positive(t)
     r = (1.0 - t) / (1.0 + t)
     return r * r
 
@@ -55,8 +59,6 @@ class GaussianSpectrumParams:
     xi: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("control parameter must be positive")
         expected = xi_of(self.t)
         if self.xi is None:
             object.__setattr__(self, "xi", expected)
@@ -66,8 +68,7 @@ class GaussianSpectrumParams:
 
 def analytic_K(t: float) -> float:
     """Schmidt number of the double-Gaussian amplitude, (t + 1/t)^2 / 4."""
-    if t <= 0:
-        raise ValueError("control parameter must be positive")
+    _require_positive(t)
     s = t + 1.0 / t
     return 0.25 * s * s
 
@@ -79,8 +80,7 @@ def analytic_norm_constant(t: float) -> float:
     amplitude over both transverse planes, pi^2 / (16 t^2) at unit
     constant and unit pump width.
     """
-    if t <= 0:
-        raise ValueError("control parameter must be positive")
+    _require_positive(t)
     return 4.0 * t / math.pi
 
 
@@ -138,8 +138,7 @@ def oscillator_scale(t: float) -> float:
     squeezed-state kernel of the isotropic oscillator; validated
     numerically via mode overlaps at several control parameters.
     """
-    if t <= 0:
-        raise ValueError("control parameter must be positive")
+    _require_positive(t)
     return 0.5 / math.sqrt(t)
 
 

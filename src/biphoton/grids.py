@@ -8,6 +8,7 @@ periodic integrands and feeds directly into an FFT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class RadialGrid:
     k_max: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.k_min) and math.isfinite(self.k_max)):
+            raise ValueError("k_min and k_max must be finite")
         if self.k_min < 0 or self.k_max <= self.k_min:
             raise ValueError("need 0 <= k_min < k_max")
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:

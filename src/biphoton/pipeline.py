@@ -10,9 +10,10 @@ physics input is the control parameter b_sigma.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
-from .amplitudes import AmplitudeModel, normalize
+from .amplitudes import AmplitudeFamily, AmplitudeModel, normalize
 from .angular import SectorKernel, adaptive_sectors, angular_fourier, sector_coverage
 from .grids import RadialGrid, build_radial_grid, default_k_max
 from .measures import SchmidtSpectrum
@@ -47,14 +48,35 @@ class SweepRange:
         return list(np.linspace(self.start, self.stop, self.count))
 
 
+_SETTINGS = {
+    "grid_n": numbers.Integral,
+    "kmax_factor": numbers.Real,
+    "n_theta": numbers.Integral,
+    "sector_tol": numbers.Real,
+    "m_max": numbers.Integral,
+    "mu_c": numbers.Real,
+}
+"""Numerical run settings, the keywords of decompose and apply_filter, by type."""
+
+
+def _check_type(name: str, value, kind=numbers.Real) -> None:
+    """Reject None, bools and non-numbers before they reach a comparison."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by the command-line entry points.
+    """Validated run parameters: the one place a run setting is defaulted.
 
-    Exactly one of b_sigma and sweep must be set for commands that need
-    the control parameter. Fields that only steer execution (output
-    path, format, thread count) are tracked separately by the CLI so the
-    echoed configuration stays identical across equivalent runs.
+    decompose and apply_filter build one from their keywords, and the
+    command line builds one from its flags and config file, so every bad
+    value fails here, before any amplitude is computed. Exactly one of
+    b_sigma and sweep must be set for commands that need the control
+    parameter. Fields that only steer execution (output path, format,
+    thread count) are tracked separately by the CLI so the echoed
+    configuration stays identical across equivalent runs.
     """
 
     family: str = "sinc"
@@ -68,12 +90,15 @@ class RunConfig:
     mu_c: float = 0.0
 
     def __post_init__(self):
-        if self.family not in {"gaussian", "sinc", "both"}:
+        if self.family not in ("gaussian", "sinc", "both"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.b_sigma is not None and not (
-            math.isfinite(self.b_sigma) and self.b_sigma > 0
-        ):
-            raise ValueError("b_sigma must be positive and finite")
+        for name, kind in _SETTINGS.items():
+            if not (name == "m_max" and self.m_max is None):
+                _check_type(name, getattr(self, name), kind)
+        if self.b_sigma is not None:
+            _check_type("b_sigma", self.b_sigma)
+            if not (math.isfinite(self.b_sigma) and self.b_sigma > 0):
+                raise ValueError("b_sigma must be positive and finite")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
         if not (math.isfinite(self.kmax_factor) and self.kmax_factor > 0):
@@ -82,10 +107,29 @@ class RunConfig:
             raise ValueError("n_theta must be a power of two, at least 64")
         if not 0.0 < self.sector_tol < 1.0:
             raise ValueError("sector_tol must be in (0, 1)")
-        if self.m_max is not None and self.m_max < 0:
-            raise ValueError("m_max must be nonnegative")
+        if self.m_max is not None and not 0 <= self.m_max < self.n_theta // 2:
+            raise ValueError("m_max must satisfy 0 <= m_max < n_theta / 2")
         if not (math.isfinite(self.mu_c) and self.mu_c >= 0):
             raise ValueError("mu_c must be nonnegative and finite")
+
+    def settings(self, **changes) -> dict:
+        """The numerical settings as decompose keywords, with changes applied."""
+        return {name: getattr(self, name) for name in _SETTINGS} | changes
+
+    def radial_grid(self) -> RadialGrid:
+        """Radial quadrature rule of a run at b_sigma.
+
+        The grid spans [0, k_max] with k_max = kmax_factor *
+        max(1, 1/b_sigma); when mu_c > 0 it starts at the cutoff instead
+        (so the hard filter never straddles quadrature nodes) and k_max is
+        stretched because the surviving amplitude lives at larger k.
+        """
+        k_hi = default_k_max(self.b_sigma, self.kmax_factor)
+        if self.mu_c > 0.0:
+            k_hi *= FILTERED_KMAX_STRETCH
+            if self.mu_c >= k_hi:
+                raise ValueError("cutoff exceeds the radial truncation")
+        return build_radial_grid(self.grid_n, self.mu_c, k_hi)
 
 
 @dataclass(frozen=True)
@@ -102,45 +146,27 @@ class DecompositionResult:
     n_theta: int
 
 
-def decompose(
-    family,
-    b_sigma: float,
-    *,
-    grid_n: int = 200,
-    kmax_factor: float = 8.0,
-    n_theta: int = 512,
-    sector_tol: float = 1e-6,
-    m_max: int | None = None,
-    mu_c: float = 0.0,
-) -> DecompositionResult:
+def decompose(family, b_sigma: float, **settings) -> DecompositionResult:
     """Full Schmidt decomposition of one amplitude.
 
-    The radial grid spans [0, k_max] with k_max = kmax_factor *
-    max(1, 1/b_sigma); when mu_c > 0 the grid starts at the cutoff
-    instead (so the hard filter never straddles quadrature nodes) and
-    k_max is stretched because the surviving amplitude lives at larger
-    k. Sectors are chosen adaptively from sector_tol unless an explicit
-    m_max is given.
+    The settings are RunConfig's numerical fields (grid_n, kmax_factor,
+    n_theta, sector_tol, m_max, mu_c); RunConfig supplies their defaults
+    and rejects bad values before any work, and RunConfig.radial_grid
+    builds the radial grid. Sectors are chosen adaptively from
+    sector_tol unless an explicit m_max is given.
     """
-    k_hi = default_k_max(b_sigma, kmax_factor)
-    if mu_c > 0.0:
-        k_hi *= FILTERED_KMAX_STRETCH
-        if mu_c >= k_hi:
-            raise ValueError("cutoff exceeds the radial truncation")
-    grid = build_radial_grid(grid_n, mu_c, k_hi)
-    model = normalize(
-        AmplitudeModel.from_b_sigma(family, b_sigma, cutoff=mu_c), grid, n_theta
-    )
-    if m_max is not None:
-        kernels = angular_fourier(model, grid, m_max, n_theta, sector_tol=sector_tol)
-        n_theta_used = n_theta
+    _check_type("b_sigma", b_sigma)
+    cfg = RunConfig(family=AmplitudeFamily(family).value, b_sigma=b_sigma, **settings)
+    grid = cfg.radial_grid()
+    amplitude = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma, cutoff=cfg.mu_c)
+    model = normalize(amplitude, grid, cfg.n_theta)
+    if cfg.m_max is not None:
+        kernels = angular_fourier(
+            model, grid, cfg.m_max, cfg.n_theta, sector_tol=cfg.sector_tol
+        )
+        n_theta = cfg.n_theta
     else:
-        kernels, _ = adaptive_sectors(model, grid, sector_tol, n_theta)
-        # adaptive_sectors doubles n_theta only when the schedule needs
-        # m_max beyond n_theta / 2, so the used value is recoverable.
-        n_theta_used = n_theta
-        while kernels[-1].m >= n_theta_used // 2:
-            n_theta_used *= 2
+        kernels, n_theta = adaptive_sectors(model, grid, cfg.sector_tol, cfg.n_theta)
     sector_spectra = [decompose_sector(kernel) for kernel in kernels]
     spectrum = assemble_spectrum(sector_spectra, [kernel.p_m for kernel in kernels])
     return DecompositionResult(
@@ -151,5 +177,5 @@ def decompose(
         spectrum=spectrum,
         coverage=sector_coverage(kernels),
         m_max=kernels[-1].m,
-        n_theta=n_theta_used,
+        n_theta=n_theta,
     )

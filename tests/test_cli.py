@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import biphoton
 from biphoton import analytic_K, crystal_b, default_k_max
 from biphoton.cli import main
 
@@ -109,6 +112,21 @@ def test_config_file_not_json(workdir, capsys):
     (workdir / "cfg.json").write_text("family: gaussian")
     assert main(["decompose", "--config", "cfg.json"]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_config_file_wrong_types_exit_2(workdir, capsys):
+    def run(file_cfg):
+        (workdir / "cfg.json").write_text(json.dumps(file_cfg))
+        args = ["decompose", "--config", "cfg.json", "--family", "gaussian"]
+        code = main([*args, "--bsigma", "0.5", "--out", "run.csv"])
+        assert "error:" in capsys.readouterr().err
+        return code
+
+    assert run({"grid_n": None}) == 2
+    assert run({"threads": None}) == 2
+    assert run({"grid_n": [200]}) == 2
+    assert run({"grid_n": 2.7}) == 2
+    assert not (workdir / "run.csv").exists()
 
 
 def test_missing_control_parameter(workdir, capsys):
@@ -305,13 +323,26 @@ def test_physical_flag_conflicts(workdir, capsys):
 
 def test_console_script_entry_point(tmp_path):
     exe = shutil.which("biphoton")
+    env = dict(os.environ)
     if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run(
-        [exe, "oracle", "--bsigma", "0.25"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
+        # not installed: run the module from the package's source tree
+        command = [sys.executable, "-m", "biphoton.cli"]
+        source = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, env.get("PYTHONPATH")])
+        )
+    else:
+        command = [exe]
+
+    def run(*args):
+        return subprocess.run(
+            [*command, *args], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+
+    proc = run("oracle", "--bsigma", "0.25")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "oracle.json").exists()
+    bad = run("decompose", "--bsigma", "nan", "--out", "bad.csv")
+    assert bad.returncode == 2, bad.stderr
+    assert bad.stderr.startswith("error:")
+    assert not (tmp_path / "bad.csv").exists()

@@ -17,6 +17,7 @@ from biphoton import (
     analytic_P_m,
     analytic_entropy,
     analytic_mode,
+    analytic_norm_constant,
     analytic_spectrum,
     build_radial_grid,
     normalize,
@@ -33,6 +34,16 @@ def test_xi_values():
     assert xi_of(3.0) == pytest.approx(0.25, rel=1e-15)
     with pytest.raises(ValueError):
         xi_of(0.0)
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [xi_of, analytic_K, analytic_norm_constant, oscillator_scale, GaussianSpectrumParams],
+)
+@pytest.mark.parametrize("t", [0.0, float("nan"), float("inf")])
+def test_control_parameter_must_be_positive_and_finite(closed_form, t):
+    with pytest.raises(ValueError, match="positive and finite"):
+        closed_form(t)
 
 
 def test_xi_symmetry_under_inversion():

@@ -28,6 +28,9 @@ def test_grid_validation():
         build_radial_grid(10, -1.0, 1.0)
     with pytest.raises(ValueError):
         build_radial_grid(10, 2.0, 2.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            build_radial_grid(10, 0.0, bad)
     nodes = np.array([0.5, 0.4])
     weights = np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="increasing"):

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import biphoton
+import biphoton._kernels
 from biphoton import (
     RunConfig,
     SweepRange,
@@ -12,6 +14,7 @@ from biphoton import (
     analytic_P_m,
     analytic_entropy,
     analytic_mode,
+    apply_filter,
     decompose,
 )
 
@@ -39,6 +42,32 @@ def test_runconfig_validation():
             RunConfig(kmax_factor=bad)
         with pytest.raises(ValueError, match="mu_c"):
             RunConfig(mu_c=bad)
+
+
+def test_bad_settings_fail_before_any_fill(monkeypatch, gauss_model_grid):
+    model, _ = gauss_model_grid
+    fills = []
+    fill = biphoton._kernels.fill_amplitude_block
+
+    def counting_fill(*args):
+        fills.append(args[0].size)
+        return fill(*args)
+
+    monkeypatch.setattr(biphoton._kernels, "fill_amplitude_block", counting_fill)
+    calls = [
+        ("kmax_factor", lambda: decompose("gaussian", 1.5, kmax_factor=math.inf)),
+        ("sector_tol", lambda: decompose("gaussian", 1.5, sector_tol=0.0)),
+        ("n_theta", lambda: decompose("gaussian", 1.5, n_theta=100)),
+        ("m_max", lambda: decompose("gaussian", 1.5, m_max=-1)),
+        ("mu_c", lambda: apply_filter(model, math.nan)),
+    ]
+    for setting, call in calls:
+        with pytest.raises(ValueError, match=setting):
+            call()
+    assert fills == []
+    # the counter sees the fills of a valid run
+    decompose("gaussian", 1.5, grid_n=8, n_theta=64, m_max=4)
+    assert fills
 
 
 def test_sweep_range_points():
