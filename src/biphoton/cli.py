@@ -174,15 +174,17 @@ def _as_range(value) -> SweepRange:
     if isinstance(value, str):
         return _parse_range(value)
     if isinstance(value, dict):
-        try:
-            return SweepRange(
-                start=float(value["start"]),
-                stop=float(value["stop"]),
-                count=int(value["count"]),
-                log=bool(value.get("log", False)),
-            )
-        except KeyError as exc:
-            raise _ConfigError("range object needs start, stop, count") from exc
+        missing = {"start", "stop", "count"} - set(value)
+        if missing:
+            raise _ConfigError("range object needs start, stop, count")
+        log = value.get("log", False)
+        _check_type("bsigma_range.start", value["start"])
+        _check_type("bsigma_range.stop", value["stop"])
+        _check_type("bsigma_range.count", value["count"], numbers.Integral)
+        _check_type("bsigma_range.log", log, bool)
+        return SweepRange(
+            float(value["start"]), float(value["stop"]), value["count"], log=log
+        )
     raise _ConfigError("unrecognized sweep range specification")
 
 
@@ -309,7 +311,7 @@ def _cmd_sweep(cfg: RunConfig, opts: dict) -> int:
         rows = list(pool.map(worker, points))
 
     meta = _metadata(_config_echo(cfg))
-    meta.append(("numerical_gaussian", bool(numerical_gaussian)))
+    meta.append(("numerical_gaussian", numerical_gaussian))
     table = []
     failures = 0
     for t, row in zip(points, rows):
@@ -553,12 +555,17 @@ def main(argv=None) -> int:
     try:
         merged = _merge_config(args)
         cfg = _build_runconfig(merged)
+        if merged["format"] not in (None, "csv", "json"):
+            raise _ConfigError("format must be 'csv' or 'json'")
+        if merged["out"] is not None:
+            _check_type("out", merged["out"], str)
         _check_type("threads", merged["threads"], numbers.Integral)
+        _check_type("numerical_gaussian", merged["numerical_gaussian"], bool)
         opts = {
             "format": merged["format"],
             "out": merged["out"],
             "threads": max(1, merged["threads"]),
-            "numerical_gaussian": bool(merged["numerical_gaussian"]),
+            "numerical_gaussian": merged["numerical_gaussian"],
             "modes": getattr(args, "modes", None),
         }
     except ValueError as exc:

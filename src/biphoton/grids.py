@@ -83,8 +83,15 @@ def default_k_max(b_sigma: float, factor: float = 8.0) -> float:
 
 
 def angular_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform relative-azimuth grid on [0, 2pi) and its cosine table."""
+    """Uniform relative-azimuth grid on [0, 2pi) and its cosine table.
+
+    The cosine of dtheta[u] is taken at the folded index min(u, n_theta - u),
+    so the table is exactly even: cos_dtheta[u] == cos_dtheta[n_theta - u].
+    The tensor fill relies on this to copy the upper half of every row.
+    """
     if n_theta < 4:
         raise ValueError("n_theta too small")
-    dtheta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    return dtheta, np.cos(dtheta)
+    u = np.arange(n_theta)
+    dtheta = 2.0 * np.pi * u / n_theta
+    folded = 2.0 * np.pi * np.minimum(u, n_theta - u) / n_theta
+    return dtheta, np.cos(folded)

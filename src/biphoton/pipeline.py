@@ -59,11 +59,22 @@ _SETTINGS = {
 """Numerical run settings, the keywords of decompose and apply_filter, by type."""
 
 
+_NOUNS = {
+    numbers.Real: "a number",
+    numbers.Integral: "an integer",
+    bool: "true or false",
+    str: "a string",
+}
+
+
 def _check_type(name: str, value, kind=numbers.Real) -> None:
-    """Reject None, bools and non-numbers before they reach a comparison."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {noun}")
+    """Reject a value of the wrong type before it reaches a comparison.
+
+    kind is one of the keys of _NOUNS. A bool never passes as a number,
+    and only a bool passes as a bool.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_NOUNS[kind]}")
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,15 @@ def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float =
 def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     """Symmetric eigendecomposition of one sector kernel.
 
-    Orders eigenpairs by descending gamma = e^2, resolves near-degenerate
-    neighbors by ascending node count, unweights eigenvectors into mode
-    profiles phi = v / sqrt(w k), and drops trailing eigenvalues below
-    the noise floor.
+    Orders eigenpairs by descending gamma = e^2, unweights eigenvectors
+    into mode profiles phi = v / sqrt(w k), and drops trailing eigenvalues
+    below the noise floor. Neighbors whose gammas differ by at most 1e-9
+    times the sector's leading gamma form a degenerate group, ordered by
+    ascending node count and, at equal count, with the positive kernel
+    eigenvalue e first. The
+    second key gives the two modes of a +-e pair, which the high-m sinc
+    sectors carry and which share a node count, labels that do not
+    depend on the order in which the eigensolver returns them.
     """
     matrix = kernel.matrix
     if not np.all(np.isfinite(matrix)):
@@ -143,7 +148,7 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     above = int(np.count_nonzero(gammas >= GAMMA_FLOOR))
     candidates = order[:above] if above else order
 
-    # Resolve near-degenerate runs by node count before final labeling.
+    # Resolve near-degenerate runs by node count, then sign, before final labeling.
     scale = gammas[order[0]] if order else 0.0
     resolved: list[int] = []
     i = 0
@@ -159,7 +164,10 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
         if len(group) > 1:
             group = sorted(
                 group,
-                key=lambda col: radial_node_count(make_mode(0, col)),
+                key=lambda col: (
+                    radial_node_count(make_mode(0, col)),
+                    eigenvalues[col] < 0.0,
+                ),
             )
         resolved.extend(group)
         i = j

@@ -8,6 +8,7 @@ from biphoton import (
     AmplitudeModel,
     TransverseVector,
     analytic_norm_constant,
+    angular_grid,
     build_radial_grid,
     crystal_b,
     default_k_max,
@@ -112,20 +113,23 @@ def test_fill_block_matches_evaluate(family):
     rng = np.random.default_rng(11)
     k_rows = rng.uniform(0.05, 3.0, size=5)
     k = np.append(rng.uniform(0.05, 3.0, size=6), k_rows[2])
-    dtheta = np.append(rng.uniform(-np.pi, np.pi, size=8), 0.0)
-    out = np.empty((k_rows.size, k.size, dtheta.size))
-    _kernels.fill_amplitude_block(
-        out, model.family.kernel_code, k_rows, k, np.cos(dtheta), t
-    )
-    for r, kr in enumerate(k_rows):
-        for j, kj in enumerate(k):
-            for u, du in enumerate(dtheta):
-                expected = evaluate(
-                    model, TransverseVector(kr, du), TransverseVector(kj, 0.0)
-                )
-                assert out[r, j, u] == pytest.approx(expected, rel=1e-13, abs=0.0)
-    # k = q at dtheta = 0 puts the sinc argument at exactly zero: sinc(0) = 1.
-    assert out[2, -1, -1] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
+    for n_theta in (16, 15):
+        dtheta, _ = angular_grid(n_theta)
+        out = np.full((k_rows.size, k.size, n_theta), np.nan)
+        _kernels.fill_amplitude_block(out, model.family.kernel_code, k_rows, k, t)
+        # every entry is written, the mirrored upper half included
+        assert np.all(np.isfinite(out))
+        for r, kr in enumerate(k_rows):
+            for j, kj in enumerate(k):
+                for u, du in enumerate(dtheta):
+                    expected = evaluate(
+                        model, TransverseVector(kr, du), TransverseVector(kj, 0.0)
+                    )
+                    assert out[r, j, u] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # the fill is exactly even in dtheta: column u equals column n_theta - u
+        assert np.array_equal(out[:, :, 1:], out[:, :, :0:-1])
+        # k = q at dtheta = 0 puts the sinc argument at exactly zero: sinc(0) = 1.
+        assert out[2, -1, 0] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
 
 
 def test_cutoff_step():

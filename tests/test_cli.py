@@ -115,10 +115,10 @@ def test_config_file_not_json(workdir, capsys):
 
 
 def test_config_file_wrong_types_exit_2(workdir, capsys):
-    def run(file_cfg):
+    def run(file_cfg, out=("--out", "run.csv")):
         (workdir / "cfg.json").write_text(json.dumps(file_cfg))
         args = ["decompose", "--config", "cfg.json", "--family", "gaussian"]
-        code = main([*args, "--bsigma", "0.5", "--out", "run.csv"])
+        code = main([*args, "--bsigma", "0.5", *out])
         assert "error:" in capsys.readouterr().err
         return code
 
@@ -126,7 +126,15 @@ def test_config_file_wrong_types_exit_2(workdir, capsys):
     assert run({"threads": None}) == 2
     assert run({"grid_n": [200]}) == 2
     assert run({"grid_n": 2.7}) == 2
-    assert not (workdir / "run.csv").exists()
+    span = {"start": 0.5, "stop": 1.0, "count": 3}
+    assert run({"bsigma_range": span | {"start": None}}) == 2
+    assert run({"bsigma_range": span | {"stop": "1.0"}}) == 2
+    assert run({"bsigma_range": span | {"count": 2.7}}) == 2
+    assert run({"bsigma_range": span | {"log": "no"}}) == 2
+    assert run({"numerical_gaussian": "no"}) == 2
+    assert run({"format": "xml"}) == 2
+    assert run({"out": 5}, out=()) == 2
+    assert sorted(path.name for path in workdir.iterdir()) == ["cfg.json"]
 
 
 def test_missing_control_parameter(workdir, capsys):

@@ -68,3 +68,7 @@ def test_angular_grid():
     assert np.allclose(cos_dtheta, np.cos(dtheta))
     with pytest.raises(ValueError):
         angular_grid(2)
+    # the cosine table is exactly even, for even and odd sizes
+    for n_theta in (8, 9, 512):
+        _, cos_dtheta = angular_grid(n_theta)
+        assert np.array_equal(cos_dtheta[1:], cos_dtheta[:0:-1])

@@ -115,6 +115,29 @@ def test_rejects_non_finite_kernel():
         decompose_sector(kernel)
 
 
+def test_plus_minus_pair_puts_positive_eigenvalue_first():
+    # Two node-free profiles on disjoint radial ranges, orthonormal as
+    # eigenvectors, carry kernel eigenvalues +e and -e: gamma and node
+    # count tie, and the positive e must take n = 0 whichever profile has it.
+    grid = build_radial_grid(40, 0.0, 4.0)
+    k = grid.nodes
+    inner = np.where(k < 2.0, np.sin(np.pi * k / 2.0), 0.0)
+    outer = np.where(k >= 2.0, np.sin(np.pi * (k - 2.0) / 2.0), 0.0)
+    inner /= np.linalg.norm(inner)
+    outer /= np.linalg.norm(outer)
+    sqwk = np.sqrt(grid.weights * k)
+    e = 0.5
+    for plus, minus in ((inner, outer), (outer, inner)):
+        matrix = e * (np.outer(plus, plus) - np.outer(minus, minus))
+        sector = decompose_sector(SectorKernel(m=7, p_m=1.0, matrix=matrix, grid=grid))
+        assert sector.signs.tolist() == [1.0, -1.0]
+        assert sector.gammas == pytest.approx([e * e, e * e], rel=1e-12)
+        assert [radial_node_count(mode) for mode in sector.modes] == [0, 0]
+        assert [mode.n for mode in sector.modes] == [0, 1]
+        for mode, profile in zip(sector.modes, (plus, minus)):
+            assert np.allclose(mode.values, profile / sqwk, atol=1e-12)
+
+
 def _toy_sector(m, gammas, grid):
     count = len(gammas)
     modes = [
