@@ -6,10 +6,13 @@ two-photon state into orbital-angular-momentum sectors with opposite m on
 the two photons. Each sector contributes a probability P_m and a
 symmetric radial kernel whose eigendecomposition is handled downstream.
 
-Coefficients are computed with a real FFT over a uniform azimuth grid,
-which is spectrally accurate here because the integrand is smooth and
-periodic. Only m >= 0 is stored; the amplitude is real and even in the
-relative azimuth, so P_m = P_{-m} and the kernels coincide.
+Both passes sample a uniform azimuth grid, which is spectrally accurate
+here because the integrand is smooth and periodic. The scan pass takes a
+real FFT of every row block to get P_m for all representable m; the
+coefficient pass projects the distinct half of each block onto a cosine
+table holding only the m that are kept. Only m >= 0 is stored; the
+amplitude is real and even in the relative azimuth, so P_m = P_{-m} and
+the kernels coincide.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized
-from .grids import RadialGrid
+from .grids import RadialGrid, angular_grid
 
 __all__ = [
     "SectorKernel",
@@ -58,27 +61,53 @@ class SectorKernel:
     grid: RadialGrid = field(repr=False)
 
 
-def _fourier_pass(model, grid, n_theta, m_keep):
-    """One sweep over the radial grid: coefficients and sector weights.
+def _scan_pass(model, grid, n_theta):
+    """P_m for every m up to n_theta // 2 from one sweep over the radial grid.
 
-    Returns (gcoef, p_all) where gcoef holds the Fourier coefficients
-    G_m(k_i, k_j) for m <= m_keep (or None when m_keep is None) and p_all
-    holds P_m for every m up to n_theta // 2.
+    Each block's real FFT lands in one reused complex buffer; its squared
+    real part is reduced against the w_i k_i w_j k_j weights by a single
+    matrix-vector product, and the normalization is applied to the sums.
     """
     n = grid.count
+    h = n_theta // 2 + 1
     wk = grid.weights * grid.nodes
-    scale = model.unit_norm_constant / n_theta
-    gcoef = None if m_keep is None else np.empty((n, n, m_keep + 1))
-    p_all = np.zeros(n_theta // 2 + 1)
+    p_all = np.zeros(h)
+    spectrum = squared = None
     blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
-        gb = np.fft.rfft(out, axis=2).real
-        gb *= scale
-        p_all += np.einsum("i,j,ijm->m", wk[start:stop], wk, gb * gb)
-        if gcoef is not None:
-            gcoef[start:stop] = gb[:, :, : m_keep + 1]
-    p_all *= _TWO_PI**2
-    return gcoef, p_all
+        rows = stop - start
+        if spectrum is None:
+            spectrum = np.empty((rows, n, h), dtype=complex)
+            squared = np.empty((rows, n, h))
+        spec = np.fft.rfft(out, axis=2, out=spectrum[:rows])
+        g = np.square(spec.real, out=squared[:rows])
+        p_all += np.outer(wk[start:stop], wk).ravel() @ g.reshape(-1, h)
+    p_all *= (_TWO_PI * model.unit_norm_constant / n_theta) ** 2
+    return p_all
+
+
+def _coefficient_pass(model, grid, n_theta, m_keep):
+    """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
+
+    The amplitude is even in dtheta, so its cosine transform needs only
+    the distinct columns u = 0 .. n_theta // 2: the interior ones stand
+    for two grid points each. Each block is projected onto a cosine table
+    that carries those mirror weights and the normalization, which costs
+    one matrix product with m_keep + 1 columns instead of a full FFT.
+    """
+    n = grid.count
+    h = n_theta // 2 + 1
+    _, cos_dtheta = angular_grid(n_theta)
+    # cos(2 pi m u / n_theta) read from the folded, exactly even table.
+    table = cos_dtheta[np.outer(np.arange(h), np.arange(m_keep + 1)) % n_theta]
+    mirror = np.full(h, 2.0)
+    mirror[[0, -1]] = 1.0
+    table *= (model.unit_norm_constant / n_theta * mirror)[:, np.newaxis]
+    gcoef = np.empty((n, n, m_keep + 1))
+    blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
+    for start, stop, out in blocks:
+        np.matmul(out[:, :, :h], table, out=gcoef[start:stop])
+    return gcoef
 
 
 def angular_fourier(
@@ -111,7 +140,7 @@ def angular_fourier(
         raise ValueError("n_theta must be a power of two, at least 64")
     if not 0 <= m_max < n_theta // 2:
         raise ValueError("m_max must satisfy 0 <= m_max < n_theta / 2")
-    gcoef, _ = _fourier_pass(model, grid, n_theta, m_max)
+    gcoef = _coefficient_pass(model, grid, n_theta, m_max)
     sqwk = np.sqrt(grid.weights * grid.nodes)
     weight = _TWO_PI * np.outer(sqwk, sqwk)
     sectors = []
@@ -154,7 +183,7 @@ def adaptive_sectors(
         raise ValueError("sector_tol must be in (0, 1)")
     target = 1.0 - sector_tol
     for _ in range(3):
-        _, p_all = _fourier_pass(model, grid, n_theta, None)
+        p_all = _scan_pass(model, grid, n_theta)
         signed = np.copy(p_all)
         signed[1:] *= 2.0
         cumulative = np.cumsum(signed)

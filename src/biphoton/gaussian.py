@@ -7,6 +7,10 @@ with xi = ((1 - t)/(1 + t))^2 for t = b * sigma_perp, isotropic-
 oscillator radial modes, and a modified-Bessel expression for the
 angular Fourier coefficients. Every numerical pipeline stage is tested
 against these expressions.
+
+SciPy's special functions are imported inside the two functions that
+use them: loading scipy.special takes longer than the rest of the
+package's import, and a decomposition never needs it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, ive
 
 from .amplitudes import AmplitudeFamily, AmplitudeModel, _require_normalized
 from .grids import RadialGrid
@@ -155,6 +158,8 @@ def analytic_mode(n: int, m: int, t: float, grid: RadialGrid) -> SchmidtMode:
     largest-magnitude sample is positive, matching the numerical mode
     conventions.
     """
+    from scipy.special import eval_genlaguerre
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     s = oscillator_scale(t)
@@ -183,6 +188,8 @@ def sector_coefficient(model: AmplitudeModel, k, q, m: int):
     exponentially scaled Bessel function for overflow safety. Arguments
     are in pump-width units and broadcast like NumPy arrays.
     """
+    from scipy.special import ive
+
     if model.family is not AmplitudeFamily.DOUBLE_GAUSSIAN:
         raise ValueError("closed form available for the double-Gaussian family only")
     _require_normalized(model)

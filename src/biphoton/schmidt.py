@@ -30,7 +30,13 @@ GAMMA_FLOOR = 1e-14
 """Sector eigenvalues below this are numerical noise and are discarded."""
 
 _DEGENERACY_RTOL = 1e-9
-"""Relative gap under which neighboring gammas count as degenerate."""
+"""Gap, relative to the larger gamma, under which neighboring gammas are degenerate."""
+
+_TIE_RTOL = 1e-12
+"""Relative gap under which two global eigenvalues are tied."""
+
+_TIE_ATOL = 1e-15
+"""Gap, relative to the largest global eigenvalue, under which two are tied."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     Orders eigenpairs by descending gamma = e^2, unweights eigenvectors
     into mode profiles phi = v / sqrt(w k), and drops trailing eigenvalues
     below the noise floor. Neighbors whose gammas differ by at most 1e-9
-    times the sector's leading gamma form a degenerate group, ordered by
+    of the larger of the two form a degenerate group, ordered by
     ascending node count and, at equal count, with the positive kernel
     eigenvalue e first. The
     second key gives the two modes of a +-e pair, which the high-m sinc
@@ -149,7 +155,6 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     candidates = order[:above] if above else order
 
     # Resolve near-degenerate runs by node count, then sign, before final labeling.
-    scale = gammas[order[0]] if order else 0.0
     resolved: list[int] = []
     i = 0
     while i < len(candidates):
@@ -157,7 +162,7 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
         while (
             j < len(candidates)
             and gammas[candidates[j - 1]] - gammas[candidates[j]]
-            <= _DEGENERACY_RTOL * scale
+            <= _DEGENERACY_RTOL * gammas[candidates[j - 1]]
         ):
             j += 1
         group = candidates[i:j]
@@ -189,9 +194,15 @@ def assemble_spectrum(
 
     Each sector entry becomes lambda_{n,m} = P_m * gamma_{n,m}; sectors
     with m > 0 are mirrored onto -m with identical weight. Entries are
-    sorted by descending lambda with a fixed tie order, so output is
-    deterministic. The summed table is the captured coverage; the scalar
-    measures are computed on the coverage-renormalized table.
+    sorted by descending lambda; entries within max(1e-12 lambda,
+    1e-15 lambda_max) of the largest entry of their run are tied and
+    ordered by (n, |m|, -m). Exactly degenerate levels, such as the
+    double-Gaussian's lambda that depends only on 2n + |m|, then come out
+    in the same order whatever their last-digit round-off; the tail below
+    1e-15 lambda_max, within the table's absolute round-off, is one tied
+    run. The
+    summed table is the captured coverage; the scalar measures are
+    computed on the coverage-renormalized table.
     """
     if len(sectors) != len(probs):
         raise ValueError("sector and probability lists are misaligned")
@@ -208,7 +219,18 @@ def assemble_spectrum(
             entries.append((n, sector.m, lam))
             if sector.m > 0:
                 entries.append((n, -sector.m, lam))
-    entries.sort(key=lambda e: (-e[2], e[0], abs(e[1]), -e[1]))
+    entries.sort(key=lambda e: -e[2])
+    floor = _TIE_ATOL * entries[0][2] if entries else 0.0
+    ordered: list[tuple[int, int, float]] = []
+    i = 0
+    while i < len(entries):
+        head = entries[i][2]
+        j = i + 1
+        while j < len(entries) and head - entries[j][2] <= max(_TIE_RTOL * head, floor):
+            j += 1
+        ordered.extend(sorted(entries[i:j], key=lambda e: (e[0], abs(e[1]), -e[1])))
+        i = j
+    entries = ordered
 
     lams = np.array([e[2] for e in entries])
     coverage = float(lams.sum())

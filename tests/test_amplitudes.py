@@ -132,6 +132,43 @@ def test_fill_block_matches_evaluate(family):
         assert out[2, -1, 0] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
 
 
+def test_gaussian_amplitude_is_the_two_factor_product():
+    # One exponential of -(1 + t^2) s - (1 - t^2) xc against the product
+    # exp(-|k + q|^2) exp(-t^2 |k - q|^2). Both round their exponents at
+    # the scale of the largest term, (1 + t^2) s, which near k = -q far
+    # exceeds the exponent itself.
+    rng = np.random.default_rng(5)
+    for t in (0.2, 0.5, 1.0, 1.25, 2.5):
+        k, q = rng.uniform(0.0, 8.0 / min(t, 1.0), size=(2, 2000))
+        cos = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=2000))
+        s = k * k + q * q
+        xc = 2.0 * k * q * cos
+        plus, minus = s + xc, s - xc
+        exponent = plus + t * t * minus
+        expected = np.exp(-plus) * np.exp(-t * t * minus)
+        value = _kernels.amplitude(_kernels.GAUSSIAN, s, xc.copy(), t)
+        # exp(-708) is the smallest normal double; beyond it the value is
+        # flushed to zero.
+        normal = exponent < 708.0
+        assert np.count_nonzero(normal) > 500
+        rel = np.abs(value[normal] - expected[normal]) / expected[normal]
+        assert np.all(rel <= 1e-15 * (1.0 + (1.0 + t * t) * s[normal]))
+        flushed = np.abs(value[~normal] - expected[~normal])
+        assert np.all(flushed <= np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("family", [_kernels.GAUSSIAN, _kernels.SINC])
+def test_amplitude_returns_no_subnormal_values(family):
+    # |k + q|^2 from 700 to 760 crosses the subnormal range of exp(-x).
+    plus = np.linspace(700.0, 760.0, 4001)
+    s = 0.5 * plus + 1.0
+    xc = 0.5 * plus - 1.0
+    value = _kernels.amplitude(family, s, xc, 0.3, work=np.empty_like(s))
+    magnitude = np.abs(value)
+    assert np.all((magnitude == 0.0) | (magnitude >= np.finfo(float).tiny))
+    assert np.count_nonzero(magnitude) > 0 and np.count_nonzero(magnitude == 0.0) > 0
+
+
 def test_cutoff_step():
     grid = build_radial_grid(200, 1.0, default_k_max(0.5) * 1.5)
     model = normalize(

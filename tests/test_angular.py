@@ -3,6 +3,7 @@ import pytest
 
 from biphoton import (
     AmplitudeModel,
+    _kernels,
     SectorKernel,
     adaptive_sectors,
     analytic_P_m,
@@ -13,6 +14,7 @@ from biphoton import (
     sector_coefficient,
     sector_coverage,
 )
+from biphoton.angular import _coefficient_pass, _scan_pass
 
 
 def test_requires_normalized_model(gauss_model_grid):
@@ -114,3 +116,32 @@ def test_sector_tol_validation(gauss_model_grid):
     model, grid = gauss_model_grid
     with pytest.raises(ValueError, match="sector_tol"):
         adaptive_sectors(model, grid, 0.0, 512)
+
+
+@pytest.mark.parametrize("n_theta", [512, 1024])
+def test_cosine_projection_matches_real_fft(n_theta):
+    t = 0.3
+    grid = build_radial_grid(24, 0.0, default_k_max(t))
+    model = normalize(AmplitudeModel.from_b_sigma("sinc", t), grid, n_theta)
+    scale = model.unit_norm_constant / n_theta
+    blocks = _kernels.row_blocks(model.family.kernel_code, t, grid, n_theta)
+    reference = np.concatenate(
+        [np.fft.rfft(block, axis=2).real * scale for _, _, block in blocks]
+    )
+    for m_keep in (0, 8, 128, 255):
+        gcoef = _coefficient_pass(model, grid, n_theta, m_keep)
+        expected = reference[:, :, : m_keep + 1]
+        error = float(np.max(np.abs(gcoef - expected)))
+        assert error <= 1e-13 * float(np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
+def test_scan_probabilities_sum_to_one(family, t):
+    # Parseval: on the grid the model was normalized on, the signed P_m
+    # (m = 0 and n_theta / 2 once, the rest twice) add up to the norm.
+    grid = build_radial_grid(60, 0.0, default_k_max(t))
+    model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
+    p_all = _scan_pass(model, grid, 512)
+    assert p_all.shape == (257,)
+    total = p_all[0] + 2.0 * p_all[1:-1].sum() + p_all[-1]
+    assert total == pytest.approx(1.0, abs=1e-14)

@@ -156,6 +156,18 @@ def test_python_backend_full_run():
     assert k == pytest.approx(analytic_K(0.5), rel=1e-4)
 
 
+def test_import_does_not_load_scipy():
+    # Only the closed-form mode and Bessel coefficient need scipy.special,
+    # and they import it when called.
+    code = (
+        "import sys, biphoton, biphoton.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_family_accepts_enum_and_string():
     by_string = decompose("gaussian", 2.0, grid_n=80, n_theta=128)
     by_enum = decompose(

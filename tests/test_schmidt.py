@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from biphoton import (
     SectorKernel,
     SectorSpectrum,
     analytic_mode,
+    analytic_spectrum,
     assemble_spectrum,
     build_radial_grid,
     decompose,
@@ -136,6 +139,56 @@ def test_plus_minus_pair_puts_positive_eigenvalue_first():
         assert [mode.n for mode in sector.modes] == [0, 1]
         for mode, profile in zip(sector.modes, (plus, minus)):
             assert np.allclose(mode.values, profile / sqwk, atol=1e-12)
+
+
+def test_degeneracy_gap_is_relative_to_the_neighbors():
+    # A leading mode and two node-free tail modes whose gammas are 22x
+    # apart: their gap is below 1e-9 of the leading gamma but not of their
+    # own, so they are not a degenerate group and keep descending-gamma
+    # labels even though the smaller one has the positive eigenvalue.
+    grid = build_radial_grid(60, 0.0, 3.0)
+    k = grid.nodes
+    profiles = []
+    for lo in (0.0, 1.0, 2.0):
+        bump = np.where((k >= lo) & (k < lo + 1.0), np.sin(np.pi * (k - lo)), 0.0)
+        profiles.append(bump / np.linalg.norm(bump))
+    gammas = [1.0, 4.4e-11, 2.0e-12]
+    signs = [1.0, -1.0, 1.0]
+    matrix = sum(
+        sign * np.sqrt(gamma) * np.outer(p, p)
+        for sign, gamma, p in zip(signs, gammas, profiles)
+    )
+    sector = decompose_sector(SectorKernel(m=37, p_m=1.0, matrix=matrix, grid=grid))
+    assert sector.gammas[:3] == pytest.approx(gammas, rel=1e-6)
+    assert sector.signs[:3].tolist() == signs
+    assert [mode.n for mode in sector.modes[:3]] == [0, 1, 2]
+
+
+def test_gaussian_row_order_survives_round_off():
+    # lambda_{n,m} depends only on 2n + |m|, so whole levels are tied; a
+    # 1e-15 relative change of every lambda must leave rows and labels as
+    # they are, ordered by (n, |m|, -m) within a level like the closed form.
+    result = decompose("gaussian", 0.5)
+    probs = [kernel.p_m for kernel in result.kernels]
+    reference = assemble_spectrum(result.sector_spectra, probs).entries
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        nudged = [
+            dataclasses.replace(
+                sector,
+                gammas=sector.gammas
+                * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], sector.gammas.size)),
+            )
+            for sector in result.sector_spectra
+        ]
+        entries = assemble_spectrum(nudged, probs).entries
+        assert [e[:2] for e in entries] == [e[:2] for e in reference]
+    floor = 1e-15 * reference[0][2]
+    closed, _ = analytic_spectrum(0.5)
+    kept = {e[:2] for e in reference if e[2] > floor}
+    assert [e[:2] for e in reference if e[2] > floor] == [
+        e[:2] for e in closed if e[:2] in kept
+    ]
 
 
 def _toy_sector(m, gammas, grid):
