@@ -200,9 +200,8 @@ def assemble_spectrum(
     double-Gaussian's lambda that depends only on 2n + |m|, then come out
     in the same order whatever their last-digit round-off; the tail below
     1e-15 lambda_max, within the table's absolute round-off, is one tied
-    run. The
-    summed table is the captured coverage; the scalar measures are
-    computed on the coverage-renormalized table.
+    run. The summed table is the captured coverage; the scalar measures
+    are computed on the coverage-renormalized table.
     """
     if len(sectors) != len(probs):
         raise ValueError("sector and probability lists are misaligned")
