@@ -49,8 +49,9 @@ class SectorKernel:
         p_0 + 2 * sum over m > 0.
     matrix : ndarray
         Symmetric N x N Nystrom matrix sqrt(w_i k_i) F_m(k_i, k_j)
-        sqrt(w_j k_j) with unit Frobenius norm; the sign convention makes
-        the largest-magnitude entry positive.
+        sqrt(w_j k_j) with unit Frobenius norm and the sign of F_m. The
+        kernels of one angular_fourier call are contiguous views of a
+        single sector-major array.
     grid : RadialGrid
         Radial quadrature rule the matrix was built on.
     """
@@ -93,7 +94,9 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     the distinct columns u = 0 .. n_theta // 2: the interior ones stand
     for two grid points each. Each block is projected onto a cosine table
     that carries those mirror weights and the normalization, which costs
-    one matrix product with m_keep + 1 columns instead of a full FFT.
+    one matrix product with m_keep + 1 rows instead of a full FFT. The
+    result is sector-major, shape (m_keep + 1, N, N), so that G_m is the
+    contiguous block gcoef[m].
     """
     n = grid.count
     h = n_theta // 2 + 1
@@ -103,10 +106,15 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     mirror = np.full(h, 2.0)
     mirror[[0, -1]] = 1.0
     table *= (model.unit_norm_constant / n_theta * mirror)[:, np.newaxis]
-    gcoef = np.empty((n, n, m_keep + 1))
+    gcoef = np.empty((m_keep + 1, n, n))
     blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
-        np.matmul(out[:, :, :h], table, out=gcoef[start:stop])
+        rows = (stop - start) * n
+        np.matmul(
+            table.T,
+            out[:, :, :h].reshape(rows, h).T,
+            out=gcoef[:, start:stop].reshape(m_keep + 1, rows),
+        )
     return gcoef
 
 
@@ -142,15 +150,12 @@ def angular_fourier(
         raise ValueError("m_max must satisfy 0 <= m_max < n_theta / 2")
     gcoef = _coefficient_pass(model, grid, n_theta, m_max)
     sqwk = np.sqrt(grid.weights * grid.nodes)
-    weight = _TWO_PI * np.outer(sqwk, sqwk)
+    gcoef *= _TWO_PI * np.outer(sqwk, sqwk)
     sectors = []
-    for m in range(m_max + 1):
-        a = weight * gcoef[:, :, m]
-        p_m = float(np.sum(a * a))
+    for m, matrix in enumerate(gcoef):
+        p_m = float(np.sum(matrix * matrix))
         if p_m > 0.0:
-            matrix = a / np.sqrt(p_m)
-        else:
-            matrix = np.zeros_like(a)
+            matrix /= np.sqrt(p_m)
         sectors.append(SectorKernel(m=m, p_m=p_m, matrix=matrix, grid=grid))
     if sector_tol is not None and sector_coverage(sectors) < 1.0 - sector_tol:
         raise ValueError("m_max too small")
@@ -172,9 +177,10 @@ def adaptive_sectors(
 
     Follows a doubling schedule starting at m_max = 8. A cheap scan pass
     first accumulates P_m for every representable m, so the schedule is
-    resolved with two amplitude sweeps regardless of where it stops. If
-    even m_max = n_theta / 2 - 1 cannot reach the target, n_theta is
-    doubled (at most twice) before giving up.
+    resolved with two amplitude sweeps regardless of where it stops. The
+    schedule's largest m_max is n_theta / 4 (128 at n_theta = 512); if
+    that cannot reach the target, n_theta is doubled (at most twice)
+    before giving up.
 
     Returns the sector list and the n_theta it was computed with.
     """

@@ -68,18 +68,22 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     if model.cutoff > 0.0:
         raise ValueError("model already carries a cutoff; filter the unfiltered model")
 
-    original = decompose(cfg.family, cfg.b_sigma, **cfg.settings(mu_c=0.0))
+    unfiltered = decompose(cfg.family, cfg.b_sigma, **cfg.settings(mu_c=0.0))
+    # Only the spectrum and the normalization outlive the unfiltered run;
+    # its kernels and modes are released before the filtered one starts.
+    original, constant = unfiltered.spectrum, unfiltered.model.unit_norm_constant
+    del unfiltered
     if cfg.mu_c == 0.0:
         return FilterReport(
             mu_c=0.0,
             acceptance=1.0,
-            k_filtered=original.spectrum.k,
-            k_original=original.spectrum.k,
-            filtered_spectrum=original.spectrum,
+            k_filtered=original.k,
+            k_original=original.k,
+            filtered_spectrum=original,
         )
 
     surviving = unit_norm_integral(model, cfg.radial_grid(), cfg.n_theta)
-    acceptance = min(surviving * original.model.unit_norm_constant**2, 1.0)
+    acceptance = min(surviving * constant**2, 1.0)
     if acceptance < ACCEPTANCE_FLOOR:
         raise ValueError("filter removes essentially all amplitude")
 
@@ -88,7 +92,7 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
         mu_c=float(cfg.mu_c),
         acceptance=float(acceptance),
         k_filtered=filtered.spectrum.k,
-        k_original=original.spectrum.k,
+        k_original=original.k,
         filtered_spectrum=filtered.spectrum,
     )
 

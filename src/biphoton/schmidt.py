@@ -44,8 +44,10 @@ class SchmidtMode:
     """Radial Schmidt mode phi_{n,m} sampled on the quadrature grid.
 
     The index n is the position in descending-gamma order within the
-    sector; modes are orthonormal under the w_i k_i measure and scaled so
-    the largest-magnitude sample is positive.
+    sector; in a group of gammas within 1e-9 of each other the mode with
+    the positive kernel eigenvalue comes first. Modes are orthonormal
+    under the w_i k_i measure and scaled so the largest-magnitude sample
+    is positive; the values of one sector's modes are rows of one array.
     """
 
     n: int
@@ -119,13 +121,14 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
 
     Orders eigenpairs by descending gamma = e^2, unweights eigenvectors
     into mode profiles phi = v / sqrt(w k), and drops trailing eigenvalues
-    below the noise floor. Neighbors whose gammas differ by at most 1e-9
-    of the larger of the two form a degenerate group, ordered by
-    ascending node count and, at equal count, with the positive kernel
-    eigenvalue e first. The
-    second key gives the two modes of a +-e pair, which the high-m sinc
-    sectors carry and which share a node count, labels that do not
-    depend on the order in which the eigensolver returns them.
+    below the noise floor; a sector with nothing above the floor keeps its
+    leading mode. Neighbors whose gammas differ by at most 1e-9 of the
+    larger of the two form a degenerate group, within which the positive
+    kernel eigenvalue e comes first. This gives the two modes of a +-e
+    pair, which the high-m sinc sectors carry, labels that depend neither
+    on the order in which the eigensolver returns them nor on the radial
+    grid. The profiles are the rows of one array, and each mode's values
+    are a view of its row.
     """
     matrix = kernel.matrix
     if not np.all(np.isfinite(matrix)):
@@ -136,53 +139,26 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
 
     eigenvalues, vectors = np.linalg.eigh(matrix)
     gammas = eigenvalues**2
-    order = list(np.argsort(-gammas, kind="stable"))
+    order = np.argsort(-gammas, kind="stable")
+    # Above-floor gammas form a prefix of the descending order.
+    order = order[: max(int(np.count_nonzero(gammas >= GAMMA_FLOOR)), 1)]
+    ranked = gammas[order]
+    split = ranked[:-1] - ranked[1:] > _DEGENERACY_RTOL * ranked[:-1]
+    group = np.concatenate(([0], np.cumsum(split)))
+    order = order[np.lexsort((eigenvalues[order] < 0.0, group))]
 
-    sqwk = np.sqrt(kernel.grid.weights * kernel.grid.nodes)
-
-    def make_mode(position: int, column: int) -> SchmidtMode:
-        phi = vectors[:, column] / sqwk
-        if phi[np.argmax(np.abs(phi))] < 0.0:
-            phi = -phi
-        return SchmidtMode(n=position, m=kernel.m, values=phi, grid=kernel.grid)
-
-    # Noise-floor modes are dropped before the tie-break, so node counts
-    # are paid only for modes that are kept. Above-floor gammas form a
-    # prefix of the descending order, and the stable sort leaves their
-    # order as if the dropped tail had been grouped with them. A sector
-    # with nothing above the floor keeps its leading mode.
-    above = int(np.count_nonzero(gammas >= GAMMA_FLOOR))
-    candidates = order[:above] if above else order
-
-    # Resolve near-degenerate runs by node count, then sign, before final labeling.
-    resolved: list[int] = []
-    i = 0
-    while i < len(candidates):
-        j = i + 1
-        while (
-            j < len(candidates)
-            and gammas[candidates[j - 1]] - gammas[candidates[j]]
-            <= _DEGENERACY_RTOL * gammas[candidates[j - 1]]
-        ):
-            j += 1
-        group = candidates[i:j]
-        if len(group) > 1:
-            group = sorted(
-                group,
-                key=lambda col: (
-                    radial_node_count(make_mode(0, col)),
-                    eigenvalues[col] < 0.0,
-                ),
-            )
-        resolved.extend(group)
-        i = j
-
-    keep = resolved if above else resolved[:1]
+    profiles = vectors.T[order]
+    profiles /= np.sqrt(kernel.grid.weights * kernel.grid.nodes)
+    peaks = profiles[np.arange(order.size), np.argmax(np.abs(profiles), axis=1)]
+    profiles[peaks < 0.0] *= -1.0
     return SectorSpectrum(
         m=kernel.m,
-        gammas=np.array([gammas[col] for col in keep]),
-        signs=np.array([1.0 if eigenvalues[col] >= 0.0 else -1.0 for col in keep]),
-        modes=[make_mode(idx, col) for idx, col in enumerate(keep)],
+        gammas=gammas[order],
+        signs=np.where(eigenvalues[order] >= 0.0, 1.0, -1.0),
+        modes=[
+            SchmidtMode(n=n, m=kernel.m, values=phi, grid=kernel.grid)
+            for n, phi in enumerate(profiles)
+        ],
     )
 
 

@@ -39,6 +39,12 @@ def test_n_theta_and_m_max_validation(gauss_model_grid):
 
 
 def test_sector_structure(gauss_kernels):
+    # The kernels are contiguous views of one sector-major array.
+    base = gauss_kernels[0].matrix.base
+    assert base is not None
+    for kernel in gauss_kernels:
+        assert kernel.matrix.flags.c_contiguous
+        assert np.shares_memory(kernel.matrix, base)
     for m, kernel in enumerate(gauss_kernels):
         assert kernel.m == m
         assert kernel.p_m > 0.0
@@ -130,7 +136,7 @@ def test_cosine_projection_matches_real_fft(n_theta):
     )
     for m_keep in (0, 8, 128, 255):
         gcoef = _coefficient_pass(model, grid, n_theta, m_keep)
-        expected = reference[:, :, : m_keep + 1]
+        expected = np.moveaxis(reference[:, :, : m_keep + 1], 2, 0)
         error = float(np.max(np.abs(gcoef - expected)))
         assert error <= 1e-13 * float(np.max(np.abs(expected)))
 

@@ -164,6 +164,25 @@ def test_degeneracy_gap_is_relative_to_the_neighbors():
     assert [mode.n for mode in sector.modes[:3]] == [0, 1, 2]
 
 
+def test_pair_labels_are_grid_invariant(sinc_quarter):
+    # The +-e pairs of the high-m sinc sectors are ordered by the sign of e
+    # alone, so the sign sequence of each sector's modes with lambda >= 1e-8
+    # must not change when the radial grid is refined.
+    finer = decompose("sinc", 0.25, grid_n=260)
+
+    def sign_sequences(result):
+        return {
+            kernel.m: [
+                sign
+                for gamma, sign in zip(sector.gammas, sector.signs)
+                if kernel.p_m * gamma >= 1e-8
+            ]
+            for kernel, sector in zip(result.kernels, result.sector_spectra)
+        }
+
+    assert sign_sequences(finer) == sign_sequences(sinc_quarter)
+
+
 def test_gaussian_row_order_survives_round_off():
     # lambda_{n,m} depends only on 2n + |m|, so whole levels are tied; a
     # 1e-15 relative change of every lambda must leave rows and labels as
