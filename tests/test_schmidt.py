@@ -164,6 +164,49 @@ def test_degeneracy_gap_is_relative_to_the_neighbors():
     assert [mode.n for mode in sector.modes[:3]] == [0, 1, 2]
 
 
+def _reference_order(eigenvalues):
+    """Loop form of decompose_sector's ordering: descending gamma, cut at
+    the noise floor, and within each run of neighbors at most 1e-9 apart
+    the positive kernel eigenvalue first."""
+    gammas = eigenvalues**2
+    order = list(np.argsort(-gammas, kind="stable"))
+    order = order[: max(int(np.count_nonzero(gammas >= GAMMA_FLOOR)), 1)]
+    resolved = []
+    i = 0
+    while i < len(order):
+        j = i + 1
+        while (
+            j < len(order)
+            and gammas[order[j - 1]] - gammas[order[j]] <= 1e-9 * gammas[order[j - 1]]
+        ):
+            j += 1
+        resolved += sorted(order[i:j], key=lambda col: eigenvalues[col] < 0.0)
+        i = j
+    return resolved
+
+
+def test_degenerate_groups_match_loop_reference():
+    # Pairs of kernel eigenvalues with either sign whose magnitudes differ
+    # by 0 to 2e-9 relative, plus a tail below the noise floor, on a
+    # random orthonormal basis.
+    rng = np.random.default_rng(11)
+    grid = build_radial_grid(30, 0.0, 3.0)
+    basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    for _ in range(20):
+        level = rng.uniform(0.05, 1.0, 8)
+        gap = rng.choice([0.0, 1e-12, 3e-10, 2e-9], 8)
+        e = np.concatenate([level, level * (1.0 - gap)])
+        e *= rng.choice([-1.0, 1.0], e.size)
+        e = np.concatenate([e, rng.uniform(-1e-8, 1e-8, 30 - e.size)])
+        matrix = (basis * e) @ basis.T
+        matrix = 0.5 * (matrix + matrix.T)
+        sector = decompose_sector(SectorKernel(m=5, p_m=1.0, matrix=matrix, grid=grid))
+        eigenvalues, _ = np.linalg.eigh(matrix)
+        order = _reference_order(eigenvalues)
+        assert sector.gammas.tolist() == (eigenvalues[order] ** 2).tolist()
+        assert sector.signs.tolist() == np.sign(eigenvalues[order]).tolist()
+
+
 def test_pair_labels_are_grid_invariant(sinc_quarter):
     # The +-e pairs of the high-m sinc sectors are ordered by the sign of e
     # alone, so the sign sequence of each sector's modes with lambda >= 1e-8
