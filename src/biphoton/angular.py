@@ -110,9 +110,8 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
         # Projecting onto the table's columns and moving m to the front
-        # per block beats one product with m-major output: the sinc
-        # blocks hold near-underflow values that slow that form's BLAS
-        # path by a third.
+        # per block beats one product with m-major output, which measured
+        # a third slower on sinc blocks, whose tails lie near underflow.
         gcoef[:, start:stop] = np.moveaxis(out[:, :, :h] @ table, 2, 0)
     return gcoef
 
