@@ -13,6 +13,13 @@ n_theta - u. The fill evaluates the formula on the distinct columns
 0 .. n_theta // 2 and copies the rest as their mirror image, which
 halves the sin/exp work; :func:`biphoton.grids.angular_grid` folds its
 cosine table the same way, so every consumer sees an exactly even table.
+
+Magnitudes below 2^-900 are stored as zero. Where the pump envelope
+exp(-|k + q|^2) underflows, which is most of a narrow-sinc tensor,
+np.exp is ten to a hundred times slower per value than elsewhere, the
+costly np.sin of the sinc factor is wasted, and subnormal values slow
+the FFT and matrix products over the tensor; the floor keeps the fill
+and its consumers on the fast paths.
 """
 
 from __future__ import annotations
@@ -26,8 +33,15 @@ SINC = 1
 
 _TINY = np.finfo(float).tiny
 
+_FLOOR = 2.0**-900
+"""Amplitude magnitudes below this (about 1.2e-271) are stored as zero."""
 
-def amplitude(family, s, xc, t, out=None, work=None):
+_LOG_FLOOR = float(np.log(_FLOOR))
+_LOG_CLAMP = _LOG_FLOOR - 1.0
+"""Exponents are clamped here, so np.exp never leaves its fast range."""
+
+
+def amplitude(family, s, xc, t, out=None, work=None, live=None):
     """Unit-constant amplitude from the squared vector sums.
 
     Parameters
@@ -47,40 +61,79 @@ def amplitude(family, s, xc, t, out=None, work=None):
     work : ndarray, optional
         Workspace shaped like xc for the sinc ratio; allocated when
         omitted and the family is SINC.
+    live : ndarray of bool, optional
+        Workspace shaped like xc for the floor masks; allocated when
+        omitted.
 
     Returns exp(-|k + q|^2) times exp(-t^2 |k - q|^2) or
-    sinc(t^2 |k - q|^2), with sinc(0) = 1. The double-Gaussian product
-    is a single exponential of -(1 + t^2) s - (1 - t^2) xc, three array
-    operations per value. Everything is computed in out, xc and work
-    because this is the inner loop of every grid integral, and fresh
-    row-sized temporaries cost more in page faults than in arithmetic.
+    sinc(t^2 |k - q|^2), with sinc(0) = 1, and zero wherever that
+    magnitude is below _FLOOR = 2^-900. The double-Gaussian product is
+    a single exponential of -(1 + t^2) s - (1 - t^2) xc, three array
+    operations per value on a row that stays above the floor.
+    Everything is computed in out, xc, work and live because this is
+    the inner loop of every grid integral, and fresh row-sized
+    temporaries cost more in page faults than in arithmetic.
+
+    The floor keeps the arithmetic on fast paths. np.exp slows about
+    tenfold where its result underflows to zero and about a
+    hundredfold where it is subnormal, so exponents are clamped at
+    log(_FLOOR) - 1 first; the sinc factor's np.sin, the slowest step,
+    is taken only where the pump envelope reaches the floor; and
+    values below the floor, which give subnormal intermediates in the
+    FFT and BLAS passes over the tensor (the cosine projection of a
+    sinc 0.25 run ran at half speed), are flushed. Every value at or
+    above the floor is bitwise the unclamped, unmasked formula.
     """
     if out is None:
         out = np.empty_like(xc)
+    if live is None:
+        live = np.empty(out.shape, dtype=bool)
     t2 = t * t
     if family == GAUSSIAN:
         np.multiply(xc, t2 - 1.0, out=out)
         out -= (1.0 + t2) * s
+        # A row whose every exponent is at least log(_FLOOR) + 1 has
+        # every value above e * _FLOOR and skips the clamp and the flush.
+        if out.min() >= _LOG_FLOOR + 1.0:
+            return np.exp(out, out=out)
+        np.maximum(out, _LOG_CLAMP, out=out)
         np.exp(out, out=out)
+        np.copyto(out, 0.0, where=np.less(out, _FLOOR, out=live))
+        return out
+    if work is None:
+        work = np.empty_like(xc)
+    np.add(s, xc, out=out)
+    np.negative(out, out=out)
+    # The envelope exponent -(s + xc) rises with u along each (row,
+    # column) as cos(dtheta_u) falls, so the live entries are one tail in
+    # u and the masked loops below run in long stretches. An exponent
+    # below log(_FLOOR) gives an envelope below _FLOOR, so a dead entry
+    # would be flushed anyway; it keeps exp(_LOG_CLAMP) = _FLOOR / e (or
+    # its own exp, just below _FLOOR) until the flush.
+    mask = None
+    if out.min() < _LOG_FLOOR:
+        mask = np.greater_equal(out, _LOG_FLOOR, out=live)
+        np.maximum(out, _LOG_CLAMP, out=out)
+    np.exp(out, out=out)
+    arg = np.subtract(s, xc, out=xc)
+    arg *= t2
+    # |k - q|^2 >= 0, and sin(x) == x in floating point for |x| below
+    # ~1e-8, so clamping at the smallest normal double gives
+    # sin(x) / x == 1 exactly at the removable singularity, and at any
+    # rounding-negative argument, without a mask.
+    np.maximum(arg, _TINY, out=arg)
+    if mask is None:
+        np.sin(arg, out=work)
+        np.divide(work, arg, out=work)
+        out *= work
     else:
-        np.add(s, xc, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        arg = np.subtract(s, xc, out=xc)
-        arg *= t2
-        # |k - q|^2 >= 0, and sin(x) == x in floating point for |x| below
-        # ~1e-8, so clamping at the smallest normal double gives
-        # sin(x) / x == 1 exactly at the removable singularity, and at any
-        # rounding-negative argument, without a mask.
-        np.maximum(arg, _TINY, out=arg)
-        ratio = np.sin(arg, out=work)
-        np.divide(ratio, arg, out=ratio)
-        out *= ratio
-    # A value below the smallest normal double is zero for every purpose
-    # here, but as a subnormal operand it slows the FFT and BLAS passes
-    # that consume the tensor (threefold for the coefficient projection of
-    # a sinc 0.25 run), so it is flushed.
-    np.copyto(out, 0.0, where=np.abs(out, out=xc) < _TINY)
+        np.sin(arg, out=work, where=mask)
+        np.divide(work, arg, out=work, where=mask)
+        np.multiply(out, work, out=out, where=mask)
+    # A small sinc factor can take a live envelope below the floor too,
+    # so the sinc family flushes every row.
+    np.less(np.abs(out, out=xc), _FLOOR, out=live)
+    np.copyto(out, 0.0, where=live)
     return out
 
 
@@ -110,11 +163,12 @@ def fill_amplitude_block(out, family, k_rows, k, t):
     xc = np.empty((k.size, h))
     half = np.empty((k.size, h))
     work = np.empty((k.size, h))
+    live = np.empty((k.size, h), dtype=bool)
     for r, kr in enumerate(k_rows):
         s = kr * kr + k * k
         x = 2.0 * kr * k
         np.multiply(x[:, np.newaxis], c, out=xc)
-        amplitude(family, s[:, np.newaxis], xc, t, out=half, work=work)
+        amplitude(family, s[:, np.newaxis], xc, t, out=half, work=work, live=live)
         row = out[r]
         row[:, :h] = half
         row[:, h:] = half[:, n_theta - h : 0 : -1]

@@ -111,7 +111,9 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     for start, stop, out in blocks:
         # Projecting onto the table's columns and moving m to the front
         # per block beats one product with m-major output, which measured
-        # a third slower on sinc blocks, whose tails lie near underflow.
+        # a third slower on sinc blocks. The fill stores no magnitude
+        # below 2^-900, so no product here comes out subnormal; such
+        # products ran this projection at half speed on sinc 0.25 blocks.
         gcoef[:, start:stop] = np.moveaxis(out[:, :, :h] @ table, 2, 0)
     return gcoef
 

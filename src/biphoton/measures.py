@@ -46,15 +46,14 @@ class SchmidtSpectrum:
     ----------
     entries : list of (n, m, lambda)
         Ordered by assemble_spectrum in tied runs. A run holds the
-        entries within max(1e-12 lambda_head, 1e-15 lambda_max) of its
-        first and largest entry lambda_head; runs follow descending
-        lambda, and within a run the order is (n, |m|, -m). lambda
-        therefore need not descend inside a run, and since every entry
-        below 1e-15 lambda_max falls in one run, the tail of the table
-        is not descending, a known open fault (the FOUND entry on
-        assemble_spectrum in CHANGES.md). The (n, m) labels are
-        retained from the sector decompositions and m appears with both
-        signs.
+        entries within max(1e-9 lambda_head, 4 eps P_m) of its first
+        and largest entry lambda_head, P_m the larger sector
+        probability of the two; runs follow descending lambda, and
+        within a run the order is (n, |m|, -m). lambda therefore
+        descends down to the last row except inside a run, by at most
+        its round-off or the 1e-9 gap of a degenerate pair. The (n, m)
+        labels are retained from the sector decompositions and m
+        appears with both signs.
     coverage : float
         Sum of the table, i.e. the captured probability.
     k_raw : float

@@ -32,11 +32,8 @@ GAMMA_FLOOR = 1e-14
 _DEGENERACY_RTOL = 1e-9
 """Gap, relative to the larger gamma, under which neighboring gammas are degenerate."""
 
-_TIE_RTOL = 1e-12
-"""Relative gap under which two global eigenvalues are tied."""
-
-_TIE_ATOL = 1e-15
-"""Gap, relative to the largest global eigenvalue, under which two are tied."""
+_TIE_EPS = 4.0 * np.finfo(float).eps
+"""Gap, in units of the larger sector probability P_m, under which two are tied."""
 
 
 @dataclass(frozen=True)
@@ -170,14 +167,19 @@ def assemble_spectrum(
 
     Each sector entry becomes lambda_{n,m} = P_m * gamma_{n,m}; sectors
     with m > 0 are mirrored onto -m with identical weight. Entries are
-    sorted by descending lambda; entries within max(1e-12 lambda,
-    1e-15 lambda_max) of the largest entry of their run are tied and
-    ordered by (n, |m|, -m). Exactly degenerate levels, such as the
-    double-Gaussian's lambda that depends only on 2n + |m|, then come out
-    in the same order whatever their last-digit round-off; the tail below
-    1e-15 lambda_max, within the table's absolute round-off, is one tied
-    run. The summed table is the captured coverage; the scalar measures
-    are computed on the coverage-renormalized table.
+    sorted by descending lambda; an entry within max(1e-9 lambda,
+    4 eps P_m) of the largest entry of its run, with P_m the larger of
+    the two entries' sector probabilities, is tied with it, and a tied
+    run is ordered by (n, |m|, -m). The relative term is the gap under
+    which decompose_sector calls gammas degenerate, so the n order of
+    a sector, ± pairs included, holds in the table; the absolute term
+    is the round-off of lambda = P_m gamma with gamma from the
+    eigensolve of a unit-norm kernel. Exactly degenerate levels, such
+    as the double-Gaussian's lambda that depends only on 2n + |m|,
+    then come out in the same order whatever their last-digit
+    round-off, and distinct levels stay in descending order down to
+    the smallest. The summed table is the captured coverage; the
+    scalar measures are computed on the coverage-renormalized table.
     """
     if len(sectors) != len(probs):
         raise ValueError("sector and probability lists are misaligned")
@@ -195,13 +197,14 @@ def assemble_spectrum(
             if sector.m > 0:
                 entries.append((n, -sector.m, lam))
     entries.sort(key=lambda e: -e[2])
-    floor = _TIE_ATOL * entries[0][2] if entries else 0.0
+    round_off = [_TIE_EPS * p_m_table[abs(m)] for _, m, _ in entries]
     ordered: list[tuple[int, int, float]] = []
     i = 0
     while i < len(entries):
         head = entries[i][2]
+        reach = max(_DEGENERACY_RTOL * head, round_off[i])
         j = i + 1
-        while j < len(entries) and head - entries[j][2] <= max(_TIE_RTOL * head, floor):
+        while j < len(entries) and head - entries[j][2] <= max(reach, round_off[j]):
             j += 1
         ordered.extend(sorted(entries[i:j], key=lambda e: (e[0], abs(e[1]), -e[1])))
         i = j

@@ -147,26 +147,92 @@ def test_gaussian_amplitude_is_the_two_factor_product():
         exponent = plus + t * t * minus
         expected = np.exp(-plus) * np.exp(-t * t * minus)
         value = _kernels.amplitude(_kernels.GAUSSIAN, s, xc.copy(), t)
-        # exp(-708) is the smallest normal double; beyond it the value is
-        # flushed to zero.
-        normal = exponent < 708.0
+        # An exponent beyond log(1 / _FLOOR) = 900 log 2 gives a value
+        # below the floor, which is flushed to zero.
+        normal = exponent < -math.log(_kernels._FLOOR)
         assert np.count_nonzero(normal) > 500
         rel = np.abs(value[normal] - expected[normal]) / expected[normal]
         assert np.all(rel <= 1e-15 * (1.0 + (1.0 + t * t) * s[normal]))
         flushed = np.abs(value[~normal] - expected[~normal])
-        assert np.all(flushed <= np.finfo(float).tiny)
+        assert np.all(flushed <= _kernels._FLOOR)
+        assert np.all((value == 0.0) | (value >= _kernels._FLOOR))
 
 
 @pytest.mark.parametrize("family", [_kernels.GAUSSIAN, _kernels.SINC])
 def test_amplitude_returns_no_subnormal_values(family):
-    # |k + q|^2 from 700 to 760 crosses the subnormal range of exp(-x).
-    plus = np.linspace(700.0, 760.0, 4001)
+    # |k + q|^2 from 600 to 760 crosses the floor at 900 log 2 = 623.8 and
+    # the subnormal range of exp(-x) beyond 708.
+    plus = np.linspace(600.0, 760.0, 4001)
     s = 0.5 * plus + 1.0
     xc = 0.5 * plus - 1.0
     value = _kernels.amplitude(family, s, xc, 0.3, work=np.empty_like(s))
     magnitude = np.abs(value)
-    assert np.all((magnitude == 0.0) | (magnitude >= np.finfo(float).tiny))
+    assert np.all((magnitude == 0.0) | (magnitude >= _kernels._FLOOR))
     assert np.count_nonzero(magnitude) > 0 and np.count_nonzero(magnitude == 0.0) > 0
+    assert np.all(magnitude[plus > 625.0] == 0.0)
+
+
+def test_exponent_clamp_stays_in_the_fast_range():
+    # exp is about ten times slower where it underflows and a hundred
+    # times where its result is subnormal, from about -708 down.
+    clamped = math.exp(_kernels._LOG_CLAMP)
+    assert np.finfo(float).tiny < clamped < _kernels._FLOOR
+    assert _kernels._LOG_CLAMP > -700.0
+    assert _kernels._LOG_CLAMP < _kernels._LOG_FLOOR < _kernels._LOG_CLAMP + 1.5
+
+
+def _plain_half(family, k_rows, k, t, n_theta):
+    """The amplitude formula on columns 0 .. n_theta // 2, unclamped and unmasked."""
+    _, cos_dtheta = angular_grid(n_theta)
+    s = (k_rows[:, None] * k_rows[:, None] + k * k)[:, :, None]
+    xc = (2.0 * k_rows[:, None] * k)[:, :, None] * cos_dtheta[: n_theta // 2 + 1]
+    t2 = t * t
+    if family == _kernels.GAUSSIAN:
+        exponent = xc * (t2 - 1.0)
+        exponent -= (1.0 + t2) * s
+        return np.exp(exponent)
+    arg = np.maximum((s - xc) * t2, np.finfo(float).tiny)
+    return np.exp(-(s + xc)) * (np.sin(arg) / arg)
+
+
+@pytest.mark.parametrize(
+    "family, t", [("sinc", 0.25), ("sinc", 0.5), ("gaussian", 2.5), ("gaussian", 0.5)]
+)
+def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
+    # The clamp, the sin mask and the row shortcuts change no value at or
+    # above the floor and leave no nonzero value below it. Every case but
+    # sinc 0.25 has rows that never reach the floor, which skip the mask
+    # (sinc) or the clamp and the flush (gaussian).
+    code = AmplitudeFamily(family).kernel_code
+    grid = build_radial_grid(200, 0.0, default_k_max(t))
+    k_rows = grid.nodes[::9]
+    n_theta = 512
+    out = np.full((k_rows.size, grid.count, n_theta), np.nan)
+    _kernels.fill_amplitude_block(out, code, k_rows, grid.nodes, t)
+    plain = _plain_half(code, k_rows, grid.nodes, t, n_theta)
+    kept = np.abs(plain) >= _kernels._FLOOR
+    assert np.any(kept) and np.any(~kept)
+    assert np.array_equal(out[:, :, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
+    magnitude = np.abs(out)
+    assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
+
+
+@pytest.mark.parametrize("family", [_kernels.GAUSSIAN, _kernels.SINC])
+def test_amplitude_ignores_stale_workspaces(family):
+    # One radial row of the sinc 0.25 grid, which crosses the floor: stale
+    # NaN and boolean contents in work and live must not reach the result.
+    k = build_radial_grid(200, 0.0, default_k_max(0.25)).nodes
+    _, cos_dtheta = angular_grid(512)
+    kr = k[150]
+    s = (kr * kr + k * k)[:, None]
+    xc = (2.0 * kr * k)[:, None] * cos_dtheta[:257]
+    fresh = _kernels.amplitude(family, s, xc.copy(), 0.25)
+    assert 0 < np.count_nonzero(fresh) < fresh.size
+    for stale in (True, False):
+        work = np.full_like(xc, np.nan)
+        live = np.full(xc.shape, stale)
+        value = _kernels.amplitude(family, s, xc.copy(), 0.25, work=work, live=live)
+        assert np.array_equal(value, fresh)
 
 
 def test_cutoff_step():

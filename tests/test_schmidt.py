@@ -245,12 +245,39 @@ def test_gaussian_row_order_survives_round_off():
         ]
         entries = assemble_spectrum(nudged, probs).entries
         assert [e[:2] for e in entries] == [e[:2] for e in reference]
-    floor = 1e-15 * reference[0][2]
+    # Down to the last row, lambda 8e-22, whole levels 2n + |m| a factor
+    # 9 apart follow each other like the closed form.
     closed, _ = analytic_spectrum(0.5)
-    kept = {e[:2] for e in reference if e[2] > floor}
-    assert [e[:2] for e in reference if e[2] > floor] == [
-        e[:2] for e in closed if e[:2] in kept
-    ]
+    labels = {e[:2] for e in reference}
+    assert len(reference) == 136
+    assert [e[:2] for e in reference] == [e[:2] for e in closed if e[:2] in labels]
+
+
+def test_tie_scale_follows_the_sector_probability():
+    # lambda = P_m gamma carries a round-off of about eps P_m. With P_1 =
+    # 1e-3 and gamma near 1e-12, a gap of 2e-18 is above 4 eps P_1 (and
+    # far above 1e-9 lambda), so the two entries come out in lambda
+    # order; a gap of 4e-19 is below it and they tie, ordered by n.
+    grid = build_radial_grid(4, 0.0, 1.0)
+    probs = [1.0 - 2e-3, 1e-3]
+    for gap, expected in ((2e-18, [2, 2, 1, 1]), (4e-19, [1, 1, 2, 2])):
+        sectors = [
+            _toy_sector(0, [1.0], grid),
+            _toy_sector(1, [1.0 - 2e-12, 1e-12, 1e-12 + gap / probs[1]], grid),
+        ]
+        entries = assemble_spectrum(sectors, probs).entries
+        assert [e[0] for e in entries[-4:]] == expected
+        assert [e[1] for e in entries[-4:]] == [1, -1, 1, -1]
+
+
+def test_sector_rank_holds_in_the_table(sinc_quarter):
+    # Within one m the table lists n = 0, 1, 2, ... in order: a ± pair
+    # that decompose_sector calls degenerate (gammas within 1e-9) is tied
+    # in the table too, so its positive-e member keeps the lower row.
+    last = {}
+    for n, m, _ in sinc_quarter.spectrum.entries:
+        assert n == last.get(m, -1) + 1
+        last[m] = n
 
 
 def _toy_sector(m, gammas, grid):
