@@ -110,10 +110,8 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     # below log(_FLOOR) gives an envelope below _FLOOR, so a dead entry
     # would be flushed anyway; it keeps exp(_LOG_CLAMP) = _FLOOR / e (or
     # its own exp, just below _FLOOR) until the flush.
-    mask = None
-    if out.min() < _LOG_FLOOR:
-        mask = np.greater_equal(out, _LOG_FLOOR, out=live)
-        np.maximum(out, _LOG_CLAMP, out=out)
+    mask = np.greater_equal(out, _LOG_FLOOR, out=live)
+    np.maximum(out, _LOG_CLAMP, out=out)
     np.exp(out, out=out)
     arg = np.subtract(s, xc, out=xc)
     arg *= t2
@@ -122,14 +120,9 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     # sin(x) / x == 1 exactly at the removable singularity, and at any
     # rounding-negative argument, without a mask.
     np.maximum(arg, _TINY, out=arg)
-    if mask is None:
-        np.sin(arg, out=work)
-        np.divide(work, arg, out=work)
-        out *= work
-    else:
-        np.sin(arg, out=work, where=mask)
-        np.divide(work, arg, out=work, where=mask)
-        np.multiply(out, work, out=out, where=mask)
+    np.sin(arg, out=work, where=mask)
+    np.divide(work, arg, out=work, where=mask)
+    np.multiply(out, work, out=out, where=mask)
     # A small sinc factor can take a live envelope below the floor too,
     # so the sinc family flushes every row.
     np.less(np.abs(out, out=xc), _FLOOR, out=live)

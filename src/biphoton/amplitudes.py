@@ -142,7 +142,9 @@ def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) ->
 
     Uses |k +- q|^2 = k^2 + q^2 +- 2 k q cos(theta_k - theta_q). The hard
     radial filter zeroes the value when either magnitude is below the
-    cutoff; values exactly at the cutoff survive (step(0) = 1).
+    cutoff; values exactly at the cutoff survive (step(0) = 1). Like
+    every value of the tensor fill, a unit-constant amplitude below
+    2^-900 (about 1.2e-271) is returned as zero.
     """
     _require_normalized(model)
     if model.cutoff > 0.0 and (k.k_mag < model.cutoff or q.k_mag < model.cutoff):

@@ -199,10 +199,10 @@ def _plain_half(family, k_rows, k, t, n_theta):
     "family, t", [("sinc", 0.25), ("sinc", 0.5), ("gaussian", 2.5), ("gaussian", 0.5)]
 )
 def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
-    # The clamp, the sin mask and the row shortcuts change no value at or
-    # above the floor and leave no nonzero value below it. Every case but
-    # sinc 0.25 has rows that never reach the floor, which skip the mask
-    # (sinc) or the clamp and the flush (gaussian).
+    # The clamp, the sin mask and the gaussian row shortcut change no
+    # value at or above the floor and leave no nonzero value below it.
+    # Both gaussian cases have rows that never reach the floor, which
+    # skip the clamp and the flush.
     code = AmplitudeFamily(family).kernel_code
     grid = build_radial_grid(200, 0.0, default_k_max(t))
     k_rows = grid.nodes[::9]
@@ -233,6 +233,22 @@ def test_amplitude_ignores_stale_workspaces(family):
         live = np.full(xc.shape, stale)
         value = _kernels.amplitude(family, s, xc.copy(), 0.25, work=work, live=live)
         assert np.array_equal(value, fresh)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "sinc"])
+def test_evaluate_stores_values_below_the_floor_as_zero(family):
+    # k = q at dtheta = 0 gives |k + q|^2 = 4 k^2 and |k - q|^2 = 0, so the
+    # unit-constant amplitude is exp(-4 k^2) in both families.
+    model = AmplitudeModel(AmplitudeFamily(family), b=1.0, norm_constant=1.0)
+    for plus in (600.0, 620.0, 630.0, 700.0):
+        vec = TransverseVector(math.sqrt(plus / 4.0), 0.0)
+        value = evaluate(model, vec, vec)
+        expected = math.exp(-4.0 * vec.k_mag**2)
+        assert expected > np.finfo(float).tiny
+        if expected >= _kernels._FLOOR:
+            assert value == pytest.approx(expected, rel=1e-14)
+        else:
+            assert value == 0.0
 
 
 def test_cutoff_step():
