@@ -18,7 +18,7 @@ Magnitudes below 2^-900 are stored as zero. Where the pump envelope
 exp(-|k + q|^2) underflows, which is most of a narrow-sinc tensor,
 np.exp is ten to a hundred times slower per value than elsewhere, the
 costly np.sin of the sinc factor is wasted, and subnormal values slow
-the FFT and matrix products over the tensor; the floor keeps the fill
+the cosine projections over the tensor; the floor keeps the fill
 and its consumers on the fast paths.
 """
 
@@ -80,8 +80,8 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     log(_FLOOR) - 1 first; the sinc factor's np.sin, the slowest step,
     is taken only where the pump envelope reaches the floor; and
     values below the floor, which give subnormal intermediates in the
-    FFT and BLAS passes over the tensor (the cosine projection of a
-    sinc 0.25 run ran at half speed), are flushed. Every value at or
+    cosine projections over the tensor (those of a sinc 0.25 run ran at
+    half speed), are flushed. Every value at or
     above the floor is bitwise the unclamped, unmasked formula.
     """
     if out is None:

@@ -7,12 +7,12 @@ the two photons. Each sector contributes a probability P_m and a
 symmetric radial kernel whose eigendecomposition is handled downstream.
 
 Both passes sample a uniform azimuth grid, which is spectrally accurate
-here because the integrand is smooth and periodic. The scan pass takes a
-real FFT of every row block to get P_m for all representable m; the
-coefficient pass projects the distinct half of each block onto a cosine
-table holding only the m that are kept. Only m >= 0 is stored; the
-amplitude is real and even in the relative azimuth, so P_m = P_{-m} and
-the kernels coincide.
+here because the integrand is smooth and periodic. Both passes project
+the distinct half of each row block onto one mirror-weighted cosine
+table: the scan pass reduces the m up to n_theta / 4 to P_m, and the
+coefficient pass stores the kernels of the kept m. Only m >= 0 is
+stored; the amplitude is real and even in the relative azimuth, so
+P_m = P_{-m} and the kernels coincide.
 """
 
 from __future__ import annotations
@@ -62,43 +62,15 @@ class SectorKernel:
     grid: RadialGrid = field(repr=False)
 
 
-def _scan_pass(model, grid, n_theta):
-    """P_m for every m up to n_theta // 2 from one sweep over the radial grid.
-
-    Each block's real FFT lands in one reused complex buffer; its squared
-    real part is reduced against the w_i k_i w_j k_j weights by a single
-    matrix-vector product, and the normalization is applied to the sums.
-    """
-    n = grid.count
-    h = n_theta // 2 + 1
-    wk = grid.weights * grid.nodes
-    p_all = np.zeros(h)
-    spectrum = squared = None
-    blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
-    for start, stop, out in blocks:
-        rows = stop - start
-        if spectrum is None:
-            spectrum = np.empty((rows, n, h), dtype=complex)
-            squared = np.empty((rows, n, h))
-        spec = np.fft.rfft(out, axis=2, out=spectrum[:rows])
-        g = np.square(spec.real, out=squared[:rows])
-        p_all += np.outer(wk[start:stop], wk).ravel() @ g.reshape(-1, h)
-    p_all *= (_TWO_PI * model.unit_norm_constant / n_theta) ** 2
-    return p_all
-
-
-def _coefficient_pass(model, grid, n_theta, m_keep):
-    """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
+def _cosine_projections(model, grid, n_theta, m_keep):
+    """Yield (start, stop, coef) with coef[r, j, m] = G_m(k[start + r], k[j]), m <= m_keep.
 
     The amplitude is even in dtheta, so its cosine transform needs only
-    the distinct columns u = 0 .. n_theta // 2: the interior ones stand
-    for two grid points each. Each block is projected onto a cosine table
-    that carries those mirror weights and the normalization, which costs
-    one matrix product with m_keep + 1 columns instead of a full FFT. The
-    result is sector-major, shape (m_keep + 1, N, N), so that G_m is the
-    contiguous block gcoef[m].
+    the distinct columns u = 0 .. n_theta // 2, the interior ones standing
+    for two grid points each. Each row block is projected onto a cosine
+    table that carries those mirror weights and the normalization; coef
+    is one buffer that the next step overwrites.
     """
-    n = grid.count
     h = n_theta // 2 + 1
     _, cos_dtheta = angular_grid(n_theta)
     # cos(2 pi m u / n_theta) read from the folded, exactly even table.
@@ -106,15 +78,43 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     mirror = np.full(h, 2.0)
     mirror[[0, -1]] = 1.0
     table *= (model.unit_norm_constant / n_theta * mirror)[:, np.newaxis]
-    gcoef = np.empty((m_keep + 1, n, n))
+    coef = None
     blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
-        # Projecting onto the table's columns and moving m to the front
-        # per block beats one product with m-major output, which measured
-        # a third slower on sinc blocks. The fill stores no magnitude
-        # below 2^-900, so no product here comes out subnormal; such
-        # products ran this projection at half speed on sinc 0.25 blocks.
-        gcoef[:, start:stop] = np.moveaxis(out[:, :, :h] @ table, 2, 0)
+        if coef is None:
+            coef = np.empty((stop - start, grid.count, m_keep + 1))
+        # The fill stores no magnitude below 2^-900, so no product here
+        # comes out subnormal; such products ran this projection at half
+        # speed on sinc 0.25 blocks.
+        yield start, stop, np.matmul(out[:, :, :h], table, out=coef[: stop - start])
+
+
+def _scan_pass(model, grid, n_theta):
+    """P_m for m = 0 .. n_theta // 4, the top of the adaptive_sectors schedule.
+
+    Each block's squared coefficients are reduced against the
+    w_i k_i w_j k_j weights by one matrix-vector product.
+    """
+    m_top = n_theta // 4
+    wk = grid.weights * grid.nodes
+    p_m = np.zeros(m_top + 1)
+    for start, stop, coef in _cosine_projections(model, grid, n_theta, m_top):
+        g = np.square(coef, out=coef)
+        p_m += np.outer(wk[start:stop], wk).ravel() @ g.reshape(-1, m_top + 1)
+    return p_m * _TWO_PI**2
+
+
+def _coefficient_pass(model, grid, n_theta, m_keep):
+    """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
+
+    The result is sector-major, shape (m_keep + 1, N, N), so that G_m is
+    the contiguous block gcoef[m].
+    """
+    gcoef = np.empty((m_keep + 1, grid.count, grid.count))
+    for start, stop, coef in _cosine_projections(model, grid, n_theta, m_keep):
+        # Moving m to the front per block beats one product with m-major
+        # output, which measured a third slower on sinc blocks.
+        gcoef[:, start:stop] = np.moveaxis(coef, 2, 0)
     return gcoef
 
 
@@ -176,11 +176,11 @@ def adaptive_sectors(
     """Grow m_max until the captured probability reaches 1 - sector_tol.
 
     Follows a doubling schedule starting at m_max = 8. A cheap scan pass
-    first accumulates P_m for every representable m, so the schedule is
+    first accumulates P_m for every m <= n_theta / 4, so the schedule is
     resolved with two amplitude sweeps regardless of where it stops. The
-    schedule's largest m_max is n_theta / 4 (128 at n_theta = 512); if
-    that cannot reach the target, n_theta is doubled (at most twice)
-    before giving up.
+    schedule's largest m_max is the scan's last m, n_theta / 4 (128 at
+    n_theta = 512); if that cannot reach the target, n_theta is doubled
+    (at most twice) before giving up.
 
     Returns the sector list and the n_theta it was computed with.
     """
@@ -189,12 +189,11 @@ def adaptive_sectors(
         raise ValueError("sector_tol must be in (0, 1)")
     target = 1.0 - sector_tol
     for _ in range(3):
-        p_all = _scan_pass(model, grid, n_theta)
-        signed = np.copy(p_all)
+        signed = _scan_pass(model, grid, n_theta)
         signed[1:] *= 2.0
         cumulative = np.cumsum(signed)
         m_max = 8
-        while m_max < n_theta // 2:
+        while m_max < cumulative.size:
             if cumulative[m_max] >= target:
                 return angular_fourier(model, grid, m_max, n_theta), n_theta
             m_max *= 2

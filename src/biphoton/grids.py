@@ -3,7 +3,7 @@
 The radial integral over k in [k_min, k_max] uses Gauss-Legendre nodes and
 weights mapped from [-1, 1]; the angular integral over the relative azimuth
 in [0, 2pi) uses a uniform grid, which is spectrally accurate for smooth
-periodic integrands and feeds directly into an FFT.
+periodic integrands and feeds its distinct half into a cosine projection.
 """
 
 from __future__ import annotations

@@ -143,11 +143,38 @@ def test_cosine_projection_matches_real_fft(n_theta):
 
 @pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
 def test_scan_probabilities_sum_to_one(family, t):
-    # Parseval: on the grid the model was normalized on, the signed P_m
-    # (m = 0 and n_theta / 2 once, the rest twice) add up to the norm.
+    # The scan stops at m = n_theta / 4, the top of the adaptive schedule.
+    # A real-FFT reference holds every m: by Parseval, on the grid the
+    # model was normalized on, its signed P_m (m = 0 and n_theta / 2 once,
+    # the rest twice) add up to the norm, and the scan matches it per m.
     grid = build_radial_grid(60, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
-    p_all = _scan_pass(model, grid, 512)
-    assert p_all.shape == (257,)
-    total = p_all[0] + 2.0 * p_all[1:-1].sum() + p_all[-1]
+    wk = grid.weights * grid.nodes
+    reference = np.zeros(257)
+    for start, stop, block in _kernels.row_blocks(model.family.kernel_code, t, grid, 512):
+        g = np.square(np.fft.rfft(block, axis=2).real)
+        reference += np.einsum("i,j,ijm->m", wk[start:stop], wk, g)
+    reference *= (2.0 * np.pi * model.unit_norm_constant / 512) ** 2
+    total = reference[0] + 2.0 * reference[1:-1].sum() + reference[-1]
     assert total == pytest.approx(1.0, abs=1e-14)
+
+    p_m = _scan_pass(model, grid, 512)
+    assert p_m.shape == (512 // 4 + 1,)
+    error = float(np.max(np.abs(p_m - reference[: p_m.size])))
+    assert error <= 1e-13 * float(np.max(p_m))
+    if family == "gaussian":
+        # P_m ~ (1/9)^m, so the terms beyond m = 128 are ~1e-122.
+        assert p_m[0] + 2.0 * p_m[1:].sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
+def test_scan_matches_the_reported_sector_table(family, t):
+    # The P_m that choose m_max are the P_m that angular_fourier reports.
+    grid = build_radial_grid(60, 0.0, default_k_max(t))
+    model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
+    sectors, n_theta = adaptive_sectors(model, grid, 1e-6, 512)
+    m_max = sectors[-1].m
+    reported = [s.p_m for s in angular_fourier(model, grid, m_max, n_theta)]
+    np.testing.assert_allclose(
+        _scan_pass(model, grid, n_theta)[: m_max + 1], reported, rtol=1e-13, atol=0.0
+    )
