@@ -4,11 +4,12 @@ The Schmidt number K = 1 / sum(lambda^2) is the participation ratio of
 the eigenvalue distribution and counts the effective number of entangled
 mode pairs; the entropy is reported in bits. Both are computed on the
 coverage-renormalized table so that truncation bias enters only at
-second order, with the raw value reported alongside.
+second order, with the raw value alongside. Every sum is a math.fsum.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -105,14 +106,14 @@ def schmidt_number(lams) -> SchmidtNumber:
     coverage is below 0.999.
     """
     arr = _checked_lambdas(lams)
-    coverage = float(arr.sum())
+    coverage = math.fsum(arr)
     if coverage < COVERAGE_WARN:
         warnings.warn(
             f"truncation coverage {coverage:.6f} below {COVERAGE_WARN}; "
             "measures may be biased",
             stacklevel=2,
         )
-    power = float(np.sum(arr * arr))
+    power = math.fsum(arr * arr)
     return SchmidtNumber(raw=1.0 / power, renormalized=coverage * coverage / power)
 
 
@@ -122,9 +123,8 @@ def entanglement_entropy(lams) -> float:
     Zero eigenvalues contribute nothing (0 log 0 := 0).
     """
     arr = _checked_lambdas(lams)
-    p = arr / arr.sum()
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    p = arr[arr > 0.0] / math.fsum(arr)
+    return -math.fsum(p * np.log2(p))
 
 
 def variance_K_estimate(

@@ -10,6 +10,7 @@ recorded separately so the kernel stays exactly reconstructible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,7 +212,7 @@ def assemble_spectrum(
     entries = ordered
 
     lams = np.array([e[2] for e in entries])
-    coverage = float(lams.sum())
+    coverage = math.fsum(lams)
     number = schmidt_number(lams)
     entropy = entanglement_entropy(lams)
     return SchmidtSpectrum(

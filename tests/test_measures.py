@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,21 @@ def test_entropy_values():
     with_zeros = entanglement_entropy([0.5, 0.5, 0.0, 0.0])
     assert with_zeros == pytest.approx(1.0)
     assert entanglement_entropy([0.25, 0.25]) == pytest.approx(1.0)
+
+
+def test_measures_ignore_the_table_order(sinc_quarter):
+    # K, the entropy and the coverage are functions of the lambda multiset:
+    # a shuffled table, such as a new tie order would print, gives them
+    # bitwise unchanged.
+    spectrum = sinc_quarter.spectrum
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        shuffled = rng.permutation(spectrum.lambdas)
+        number = schmidt_number(shuffled)
+        assert number.raw == spectrum.k_raw
+        assert number.renormalized == spectrum.k
+        assert entanglement_entropy(shuffled) == spectrum.entropy
+        assert math.fsum(shuffled) == spectrum.coverage
 
 
 def test_eigenvalue_table_validation():
