@@ -81,8 +81,8 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     is taken only where the pump envelope reaches the floor; and
     values below the floor, which give subnormal intermediates in the
     cosine projections over the tensor (those of a sinc 0.25 run ran at
-    half speed), are flushed. Every value at or
-    above the floor is bitwise the unclamped, unmasked formula.
+    half speed), are flushed. Every value at or above the floor is
+    bitwise the unclamped, unmasked formula.
     """
     if out is None:
         out = np.empty_like(xc)

@@ -99,8 +99,8 @@ def _scan_pass(model, grid, n_theta):
     wk = grid.weights * grid.nodes
     p_m = np.zeros(m_top + 1)
     for start, stop, coef in _cosine_projections(model, grid, n_theta, m_top):
-        g = np.square(coef, out=coef)
-        p_m += np.outer(wk[start:stop], wk).ravel() @ g.reshape(-1, m_top + 1)
+        np.square(coef, out=coef)
+        p_m += np.outer(wk[start:stop], wk).ravel() @ coef.reshape(-1, m_top + 1)
     return p_m * _TWO_PI**2
 
 
