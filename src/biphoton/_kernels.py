@@ -4,8 +4,18 @@ Every amplitude value in the package comes from :func:`amplitude`: the
 pointwise :func:`biphoton.amplitudes.evaluate`, the equal-magnitude slice,
 and the (N, N, n_theta) tensor that normalization, the angular Fourier
 pass and the variance estimate sweep through :func:`row_blocks`. The
-tensor is filled by :func:`fill_amplitude_block` with NumPy, one radial
-row at a time, leaving the normalization constant to the caller.
+sweep fills the tensor in tiles of whole radial rows, as many as fit a
+2 MiB budget (:func:`tile_rows`, 2 rows at N = 200 and n_theta = 512),
+so that each consumer reads a tile back from cache; the tile height
+depends only on the grid shape. :func:`fill_amplitude_block` fills a
+tile with NumPy one radial row at a time, into workspaces the sweep
+allocates once, leaving the normalization constant to the caller.
+
+The fill is bitwise symmetric under the exchange of the two photons,
+k_i <-> k_j: both the sum k_i^2 + k_j^2 and the product 2 k_i k_j round
+the same either way. The sweeps' consumers therefore read only the
+columns j >= i of a tile's rows i (the upper triangle) and count the
+rest through the transpose.
 
 The amplitude depends on the two azimuths only through cos(dtheta), so
 on the uniform azimuth grid column u of the tensor equals column
@@ -130,7 +140,25 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     return out
 
 
-def fill_amplitude_block(out, family, k_rows, k, t):
+def fill_workspace(n, n_theta):
+    """Workspaces for :func:`fill_amplitude_block` on rows of n radial nodes.
+
+    Returns (c, xc, half, work, live): the distinct half of the cosine
+    table and four (n, n_theta // 2 + 1) buffers. A sweep allocates them
+    once and hands them to every fill call.
+    """
+    h = n_theta // 2 + 1
+    _, cos_dtheta = angular_grid(n_theta)
+    return (
+        cos_dtheta[:h].copy(),
+        np.empty((n, h)),
+        np.empty((n, h)),
+        np.empty((n, h)),
+        np.empty((n, h), dtype=bool),
+    )
+
+
+def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
     """Fill out[r, j, u] with the unit-constant amplitude at (k_rows[r], k[j], dtheta[u]).
 
     The azimuths are ``angular_grid(out.shape[2])``. Per radial row the
@@ -148,39 +176,55 @@ def fill_amplitude_block(out, family, k_rows, k, t):
         units.
     t : float
         Control parameter b_sigma.
+    workspace : tuple, optional
+        ``fill_workspace(len(k), n_theta)``; allocated when omitted.
     """
     n_theta = out.shape[2]
     h = n_theta // 2 + 1
-    _, cos_dtheta = angular_grid(n_theta)
-    c = cos_dtheta[np.newaxis, :h]
-    xc = np.empty((k.size, h))
-    half = np.empty((k.size, h))
-    work = np.empty((k.size, h))
-    live = np.empty((k.size, h), dtype=bool)
+    if workspace is None:
+        workspace = fill_workspace(k.size, n_theta)
+    c, xc, half, work, live = workspace
     for r, kr in enumerate(k_rows):
         s = kr * kr + k * k
         x = 2.0 * kr * k
-        np.multiply(x[:, np.newaxis], c, out=xc)
+        # The outer product through einsum is bitwise the broadcast
+        # x[:, None] * c, whose 257-long inner loops ran it at half speed.
+        np.einsum("i,j->ij", x, c, out=xc)
         amplitude(family, s[:, np.newaxis], xc, t, out=half, work=work, live=live)
         row = out[r]
         row[:, :h] = half
         row[:, h:] = half[:, n_theta - h : 0 : -1]
 
 
-def row_blocks(family, t, grid: RadialGrid, n_theta: int, block_rows: int = 16):
-    """Sweep the unit-constant amplitude tensor on a grid in row blocks.
+_TILE_BYTES = 2 << 20
+"""Byte budget of one row tile of the tensor, about one core's L2 cache."""
+
+
+def tile_rows(n, n_theta):
+    """Radial rows per tile of the (n, n, n_theta) tensor: as many as fit
+    _TILE_BYTES, at least one (2 at n = 200, n_theta = 512)."""
+    return max(1, _TILE_BYTES // (8 * n * n_theta))
+
+
+def row_blocks(family, t, grid: RadialGrid, n_theta: int, block_rows: int | None = None):
+    """Sweep the unit-constant amplitude tensor on a grid in row tiles.
 
     Yields (start, stop, block) with block[r, j, u] the amplitude at
     (k[start + r], k[j], dtheta[u]) on ``angular_grid(n_theta)``, so the
     full (N, N, n_theta) array never materializes. The block is a view of
     one buffer that the next step overwrites; consumers may modify it in
-    place.
+    place. Tiles are ``tile_rows(N, n_theta)`` rows high unless block_rows
+    is given, so that a consumer reads each tile back from cache; the
+    buffer and the fill workspaces are allocated once per sweep.
     """
     k = grid.nodes
     n = grid.count
+    if block_rows is None:
+        block_rows = tile_rows(n, n_theta)
     buf = np.empty((min(block_rows, n), n, n_theta))
+    workspace = fill_workspace(n, n_theta)
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
         block = buf[: stop - start]
-        fill_amplitude_block(block, family, k[start:stop], k, t)
+        fill_amplitude_block(block, family, k[start:stop], k, t, workspace)
         yield start, stop, block

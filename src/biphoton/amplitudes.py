@@ -162,7 +162,7 @@ def unit_norm_integral(
     model: AmplitudeModel,
     grid: RadialGrid,
     n_theta: int,
-    block_rows: int = 16,
+    block_rows: int | None = None,
 ) -> float:
     """Squared norm of the unit-constant amplitude on the given grid.
 
@@ -170,8 +170,10 @@ def unit_norm_integral(
     amplitude to three dimensions: 2pi * Int |C(k, q, dtheta)|^2 k q
     dk dq dtheta, evaluated here with Gauss-Legendre weights radially and
     a uniform rule in the relative azimuth. Works in sigma_perp-scaled
-    units with the normalization constant set to one; block evaluation
-    keeps the memory footprint flat.
+    units with the normalization constant set to one; the sweep in row
+    tiles keeps the memory footprint flat. The amplitude is symmetric
+    under k <-> q, so each tile sums only its columns from the diagonal
+    on, and a column past the tile counts twice.
     """
     wk = grid.weights * grid.nodes
     total = 0.0
@@ -179,8 +181,10 @@ def unit_norm_integral(
         model.family.kernel_code, model.b_sigma, grid, n_theta, block_rows
     )
     for start, stop, out in blocks:
-        np.square(out, out=out)
-        total += float(wk[start:stop] @ out.sum(axis=2) @ wk)
+        upper = np.square(out[:, start:], out=out[:, start:])
+        columns = wk[start:].copy()
+        columns[stop - start :] *= 2.0
+        total += float(wk[start:stop] @ upper.sum(axis=2) @ columns)
     return total * (2.0 * np.pi) * (2.0 * np.pi / n_theta)
 
 

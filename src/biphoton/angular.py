@@ -12,7 +12,11 @@ the distinct half of each row block onto one mirror-weighted cosine
 table: the scan pass reduces the m up to n_theta / 4 to P_m, and the
 coefficient pass stores the kernels of the kept m. Only m >= 0 is
 stored; the amplitude is real and even in the relative azimuth, so
-P_m = P_{-m} and the kernels coincide.
+P_m = P_{-m} and the kernels coincide. The amplitude is also exactly
+symmetric under the exchange of the two photons, so both passes project
+only the upper triangle j >= i of each row tile: the scan weighs the
+pairs off the tile twice, and the coefficient pass copies the lower
+triangle from the upper one, which makes every kernel exactly symmetric.
 """
 
 from __future__ import annotations
@@ -63,44 +67,54 @@ class SectorKernel:
 
 
 def _cosine_projections(model, grid, n_theta, m_keep):
-    """Yield (start, stop, coef) with coef[r, j, m] = G_m(k[start + r], k[j]), m <= m_keep.
+    """Yield (start, stop, coef) with coef[r, j, m] = G_m(k[start + r], k[start + j]), m <= m_keep.
 
-    The amplitude is even in dtheta, so its cosine transform needs only
-    the distinct columns u = 0 .. n_theta // 2, the interior ones standing
-    for two grid points each. Each row block is projected onto a cosine
-    table that carries those mirror weights and the normalization; coef
-    is one buffer that the next step overwrites.
+    Only the upper triangle is projected: the fill is exactly symmetric
+    under the exchange of the two photons, G_m(k_i, k_j) == G_m(k_j, k_i),
+    so the columns j < start of a tile repeat rows that earlier tiles
+    hold. The amplitude is even in dtheta, so its cosine transform needs
+    only the distinct columns u = 0 .. n_theta // 2, the interior ones
+    standing for two grid points each. Each row tile is projected onto a
+    cosine table that carries those mirror weights and the
+    normalization; coef is a view of one buffer that the next step
+    overwrites.
     """
     h = n_theta // 2 + 1
+    n = grid.count
     _, cos_dtheta = angular_grid(n_theta)
     # cos(2 pi m u / n_theta) read from the folded, exactly even table.
     table = cos_dtheta[np.outer(np.arange(h), np.arange(m_keep + 1)) % n_theta]
     mirror = np.full(h, 2.0)
     mirror[[0, -1]] = 1.0
     table *= (model.unit_norm_constant / n_theta * mirror)[:, np.newaxis]
-    coef = None
+    buf = None
     blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
-        if coef is None:
-            coef = np.empty((stop - start, grid.count, m_keep + 1))
+        if buf is None:
+            buf = np.empty((stop - start) * n * (m_keep + 1))
+        coef = buf[: (stop - start) * (n - start) * (m_keep + 1)]
+        coef = coef.reshape(stop - start, n - start, m_keep + 1)
         # The fill stores no magnitude below 2^-900, so no product here
         # comes out subnormal; such products ran this projection at half
         # speed on sinc 0.25 blocks.
-        yield start, stop, np.matmul(out[:, :, :h], table, out=coef[: stop - start])
+        yield start, stop, np.matmul(out[:, start:, :h], table, out=coef)
 
 
 def _scan_pass(model, grid, n_theta):
     """P_m for m = 0 .. n_theta // 4, the top of the adaptive_sectors schedule.
 
-    Each block's squared coefficients are reduced against the
-    w_i k_i w_j k_j weights by one matrix-vector product.
+    Each tile's squared coefficients are reduced against the
+    w_i k_i w_j k_j weights by one matrix-vector product; a column past
+    the tile also stands for its transposed pair and weighs twice.
     """
     m_top = n_theta // 4
     wk = grid.weights * grid.nodes
     p_m = np.zeros(m_top + 1)
     for start, stop, coef in _cosine_projections(model, grid, n_theta, m_top):
         np.square(coef, out=coef)
-        p_m += np.outer(wk[start:stop], wk).ravel() @ coef.reshape(-1, m_top + 1)
+        weight = np.outer(wk[start:stop], wk[start:])
+        weight[:, stop - start :] *= 2.0
+        p_m += weight.ravel() @ coef.reshape(-1, m_top + 1)
     return p_m * _TWO_PI**2
 
 
@@ -108,13 +122,20 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
 
     The result is sector-major, shape (m_keep + 1, N, N), so that G_m is
-    the contiguous block gcoef[m].
+    the contiguous block gcoef[m]. Each tile fills its rows from the
+    diagonal on; the triangle below is then copied from the transpose,
+    one sector at a time while it is in cache, so every G_m is exactly
+    symmetric.
     """
-    gcoef = np.empty((m_keep + 1, grid.count, grid.count))
+    n = grid.count
+    gcoef = np.empty((m_keep + 1, n, n))
     for start, stop, coef in _cosine_projections(model, grid, n_theta, m_keep):
-        # Moving m to the front per block beats one product with m-major
+        # Moving m to the front per tile beats one product with m-major
         # output, which measured a third slower on sinc blocks.
-        gcoef[:, start:stop] = np.moveaxis(coef, 2, 0)
+        gcoef[:, start:stop, start:] = np.moveaxis(coef, 2, 0)
+    lower = np.tri(n, n, -1, dtype=bool)
+    for g in gcoef:
+        np.copyto(g, g.T, where=lower)
     return gcoef
 
 

@@ -149,19 +149,18 @@ def variance_K_estimate(
     k = grid.nodes
     _, cos_dtheta = angular_grid(n_theta)
     wk = grid.weights * k
-    wk2 = wk * k * k
-    wkk = wk * k
-    norm_sum = 0.0
-    v_sum = 0.0
-    w_sum = 0.0
+    # The azimuth sums of every node pair are kept and reduced once, so
+    # the result does not depend on the tile height of the sweep.
+    plain = np.empty((grid.count, grid.count))
+    weighted = np.empty((grid.count, grid.count))
     blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
         np.square(out, out=out)
-        plain = out.sum(axis=2)
-        weighted = out @ cos_dtheta
-        norm_sum += float(wk[start:stop] @ plain @ wk)
-        v_sum += float(wk2[start:stop] @ plain @ wk)
-        w_sum += float(wkk[start:stop] @ weighted @ wkk)
+        out.sum(axis=2, out=plain[start:stop])
+        np.matmul(out, cos_dtheta, out=weighted[start:stop])
+    norm_sum = float(wk @ plain @ wk)
+    v_sum = float((wk * k * k) @ plain @ wk)
+    w_sum = float((wk * k) @ weighted @ (wk * k))
     second = v_sum / norm_sum
     cross = w_sum / norm_sum
     return second * second / (second * second - cross * cross)

@@ -284,6 +284,44 @@ def test_gaussian_norm_matches_closed_form():
         )
 
 
+@pytest.mark.parametrize("family, t", [("gaussian", 1.7), ("sinc", 0.25)])
+def test_fill_is_symmetric_under_photon_exchange(family, t):
+    # The triangle sweeps rely on C(k_i, k_j, dtheta) and C(k_j, k_i, dtheta)
+    # being the same double, not merely close.
+    code = AmplitudeFamily(family).kernel_code
+    k = build_radial_grid(60, 0.0, default_k_max(t)).nodes
+    out = np.empty((k.size, k.size, 128))
+    _kernels.fill_amplitude_block(out, code, k, k, t)
+    assert np.any(out != 0.0)
+    assert np.array_equal(out, out.transpose(1, 0, 2))
+
+
+def test_row_tiles_fit_the_byte_budget():
+    assert _kernels.tile_rows(200, 512) == 2
+    assert _kernels.tile_rows(40, 512) == 12
+    assert _kernels.tile_rows(4000, 1024) == 1
+    for n, n_theta in ((200, 512), (40, 512), (150, 256), (77, 1024)):
+        row_bytes = 8 * n * n_theta
+        rows = _kernels.tile_rows(n, n_theta)
+        assert rows * row_bytes <= _kernels._TILE_BYTES < (rows + 1) * row_bytes
+
+
+@pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
+def test_row_blocks_tensor_is_independent_of_the_tile_height(family, t):
+    # One workspace serves every tile of a sweep; stale rows of the last
+    # tile and of the workspace must not leak into the next.
+    code = AmplitudeFamily(family).kernel_code
+    grid = build_radial_grid(37, 0.0, default_k_max(t))
+    full = np.empty((grid.count, grid.count, 256))
+    _kernels.fill_amplitude_block(full, code, grid.nodes, grid.nodes, t)
+    for block_rows in (None, 1, 3, 16, 37, 99):
+        rows = []
+        for start, stop, block in _kernels.row_blocks(code, t, grid, 256, block_rows):
+            assert block.shape == (stop - start, grid.count, 256)
+            rows.append(block.copy())
+        assert np.array_equal(np.concatenate(rows), full)
+
+
 def test_unit_norm_integral_block_size_independent():
     model = AmplitudeModel.from_b_sigma("sinc", 0.5)
     grid = build_radial_grid(150, 0.0, default_k_max(0.5))

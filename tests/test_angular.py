@@ -178,3 +178,11 @@ def test_scan_matches_the_reported_sector_table(family, t):
     np.testing.assert_allclose(
         _scan_pass(model, grid, n_theta)[: m_max + 1], reported, rtol=1e-13, atol=0.0
     )
+
+
+@pytest.mark.parametrize("family, t", [("gaussian", 1.7), ("sinc", 0.25)])
+def test_sector_kernels_equal_their_transpose(family, t):
+    grid = build_radial_grid(60, 0.0, default_k_max(t))
+    model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
+    for kernel in angular_fourier(model, grid, 40, 512):
+        assert np.array_equal(kernel.matrix, kernel.matrix.T)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from biphoton import (
     schmidt_number,
     variance_K_estimate,
 )
+from biphoton import _kernels
 
 
 def test_schmidt_number_arithmetic():
@@ -117,3 +119,16 @@ def test_variance_estimate_warns_for_sinc():
         value = variance_K_estimate(model, grid)
     # moment-based guess overshoots the true K ~ 10; it is reported as-is
     assert value == pytest.approx(17.85, rel=1e-2)
+
+
+@pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.25)])
+def test_variance_estimate_is_independent_of_the_tile_height(monkeypatch, family, t):
+    grid = build_radial_grid(40, 0.0, default_k_max(t))
+    model = AmplitudeModel.from_b_sigma(family, t)
+    values = set()
+    for rows in (1, 3, 16, 40):
+        monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values.add(variance_K_estimate(model, grid))
+    assert len(values) == 1

@@ -70,6 +70,32 @@ def test_bad_settings_fail_before_any_fill(monkeypatch, gauss_model_grid):
     assert fills
 
 
+@pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
+def test_decompose_is_independent_of_the_tile_height(monkeypatch, family, t):
+    n = 48
+    fills = []
+    fill = biphoton._kernels.fill_amplitude_block
+
+    def counting_fill(*args):
+        fills.append(args[0].shape[0])
+        return fill(*args)
+
+    monkeypatch.setattr(biphoton._kernels, "fill_amplitude_block", counting_fill)
+    runs = {}
+    for rows in (1, 3, 16, n):
+        monkeypatch.setattr(biphoton._kernels, "tile_rows", lambda *_, rows=rows: rows)
+        fills.clear()
+        runs[rows] = decompose(family, t, grid_n=n)
+        assert max(fills) == rows
+        assert len(fills) == 3 * -(-n // rows)
+    reference = runs[n]
+    labels = [entry[:2] for entry in reference.spectrum.entries]
+    for result in runs.values():
+        assert result.spectrum.k == pytest.approx(reference.spectrum.k, rel=1e-14, abs=0.0)
+        assert result.m_max == reference.m_max
+        assert [entry[:2] for entry in result.spectrum.entries] == labels
+
+
 def test_sweep_range_points():
     linear = SweepRange(1.0, 2.0, 3).points()
     assert linear == pytest.approx([1.0, 1.5, 2.0])
