@@ -201,8 +201,11 @@ _TILE_BYTES = 2 << 20
 
 
 def tile_rows(n, n_theta):
-    """Radial rows per tile of the (n, n, n_theta) tensor: as many as fit
-    _TILE_BYTES, at least one (2 at n = 200, n_theta = 512)."""
+    """Radial rows per tile of the (n, n, n_theta) tensor.
+
+    As many as fit _TILE_BYTES, at least one: 2 at n = 200 and
+    n_theta = 512.
+    """
     return max(1, _TILE_BYTES // (8 * n * n_theta))
 
 

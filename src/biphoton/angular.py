@@ -67,12 +67,12 @@ class SectorKernel:
 
 
 def _cosine_projections(model, grid, n_theta, m_keep):
-    """Yield (start, stop, coef) with coef[r, j, m] = G_m(k[start + r], k[start + j]), m <= m_keep.
+    """Yield (start, stop, coef) with coef[r, j, m] = G_m(k[start + r], k[start + j]).
 
-    Only the upper triangle is projected: the fill is exactly symmetric
-    under the exchange of the two photons, G_m(k_i, k_j) == G_m(k_j, k_i),
-    so the columns j < start of a tile repeat rows that earlier tiles
-    hold. The amplitude is even in dtheta, so its cosine transform needs
+    m runs over 0 .. m_keep. Only the upper triangle is projected: the
+    fill is exactly symmetric under the exchange of the two photons,
+    G_m(k_i, k_j) == G_m(k_j, k_i), so the columns j < start of a tile
+    repeat rows that earlier tiles hold. The amplitude is even in dtheta, so its cosine transform needs
     only the distinct columns u = 0 .. n_theta // 2, the interior ones
     standing for two grid points each. Each row tile is projected onto a
     cosine table that carries those mirror weights and the
