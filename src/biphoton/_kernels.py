@@ -34,12 +34,19 @@ and its consumers on the fast paths.
 
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
 from .grids import RadialGrid, angular_grid
 
-GAUSSIAN = 0
-SINC = 1
+
+class AmplitudeFamily(Enum):
+    """Selects the phase-matching factor; every function here takes the member."""
+
+    DOUBLE_GAUSSIAN = "gaussian"
+    GAUSSIAN_SINC = "sinc"
+
 
 _TINY = np.finfo(float).tiny
 
@@ -56,9 +63,8 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
 
     Parameters
     ----------
-    family : int
-        GAUSSIAN (0) for the double-Gaussian family, SINC (1) for the
-        Gaussian-pump sinc family.
+    family : AmplitudeFamily
+        DOUBLE_GAUSSIAN or GAUSSIAN_SINC.
     s : float or ndarray
         k^2 + q^2, in pump-width units; broadcasts against xc.
     xc : ndarray
@@ -70,7 +76,7 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
         Destination, shaped like xc; allocated when omitted.
     work : ndarray, optional
         Workspace shaped like xc for the sinc ratio; allocated when
-        omitted and the family is SINC.
+        omitted and the family is GAUSSIAN_SINC.
     live : ndarray of bool, optional
         Workspace shaped like xc for the floor masks; allocated when
         omitted.
@@ -99,7 +105,7 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     if live is None:
         live = np.empty(out.shape, dtype=bool)
     t2 = t * t
-    if family == GAUSSIAN:
+    if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
         np.multiply(xc, t2 - 1.0, out=out)
         out -= (1.0 + t2) * s
         # A row whose every exponent is at least log(_FLOOR) + 1 has
@@ -169,8 +175,8 @@ def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
     ----------
     out : ndarray, shape (len(k_rows), len(k), n_theta)
         Destination buffer, overwritten in place.
-    family : int
-        GAUSSIAN or SINC, as for :func:`amplitude`.
+    family : AmplitudeFamily
+        As for :func:`amplitude`.
     k_rows, k : ndarray
         Radial magnitudes for the first and second photon, in pump-width
         units.
@@ -209,21 +215,20 @@ def tile_rows(n, n_theta):
     return max(1, _TILE_BYTES // (8 * n * n_theta))
 
 
-def row_blocks(family, t, grid: RadialGrid, n_theta: int, block_rows: int | None = None):
+def row_blocks(family: AmplitudeFamily, t, grid: RadialGrid, n_theta: int):
     """Sweep the unit-constant amplitude tensor on a grid in row tiles.
 
     Yields (start, stop, block) with block[r, j, u] the amplitude at
     (k[start + r], k[j], dtheta[u]) on ``angular_grid(n_theta)``, so the
     full (N, N, n_theta) array never materializes. The block is a view of
     one buffer that the next step overwrites; consumers may modify it in
-    place. Tiles are ``tile_rows(N, n_theta)`` rows high unless block_rows
-    is given, so that a consumer reads each tile back from cache; the
-    buffer and the fill workspaces are allocated once per sweep.
+    place. Tiles are ``tile_rows(N, n_theta)`` rows high, so that a
+    consumer reads each tile back from cache; the buffer and the fill
+    workspaces are allocated once per sweep.
     """
     k = grid.nodes
     n = grid.count
-    if block_rows is None:
-        block_rows = tile_rows(n, n_theta)
+    block_rows = tile_rows(n, n_theta)
     buf = np.empty((min(block_rows, n), n, n_theta))
     workspace = fill_workspace(n, n_theta)
     for start in range(0, n, block_rows):

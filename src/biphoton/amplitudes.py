@@ -6,20 +6,21 @@ difference vector: a Gaussian for the double-Gaussian family and
 sin(x)/x for the sinc family. Amplitudes are real, rotationally
 invariant, and symmetric under photon exchange, so every pipeline stage
 works with the magnitudes (k, q) and the relative azimuth only. The
-formula itself lives in ``_kernels.amplitude``, which the pointwise
+formula itself lives in ``_kernels.amplitude``, beside the
+:class:`AmplitudeFamily` that selects its factor; the pointwise
 :func:`evaluate` and the NumPy block fill behind every grid integral
-share.
+share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import AmplitudeFamily
 from .grids import RadialGrid
 
 __all__ = [
@@ -35,17 +36,6 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0
 """Vacuum speed of light in m/s, used by :func:`crystal_b`."""
-
-
-class AmplitudeFamily(Enum):
-    """Selects the phase-matching factor of the amplitude."""
-
-    DOUBLE_GAUSSIAN = "gaussian"
-    GAUSSIAN_SINC = "sinc"
-
-    @property
-    def kernel_code(self) -> int:
-        return _kernels.GAUSSIAN if self is AmplitudeFamily.DOUBLE_GAUSSIAN else _kernels.SINC
 
 
 @dataclass(frozen=True)
@@ -153,17 +143,11 @@ def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) ->
     qa = q.k_mag / model.sigma_perp
     s = ka * ka + qa * qa
     xc = 2.0 * ka * qa * math.cos(k.theta - q.theta)
-    code = model.family.kernel_code
-    value = _kernels.amplitude(code, s, np.array([xc]), model.b_sigma)[0]
+    value = _kernels.amplitude(model.family, s, np.array([xc]), model.b_sigma)[0]
     return model.norm_constant * float(value)
 
 
-def unit_norm_integral(
-    model: AmplitudeModel,
-    grid: RadialGrid,
-    n_theta: int,
-    block_rows: int | None = None,
-) -> float:
+def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) -> float:
     """Squared norm of the unit-constant amplitude on the given grid.
 
     Rotational symmetry reduces the double 2-D integral of the squared
@@ -177,9 +161,7 @@ def unit_norm_integral(
     """
     wk = grid.weights * grid.nodes
     total = 0.0
-    blocks = _kernels.row_blocks(
-        model.family.kernel_code, model.b_sigma, grid, n_theta, block_rows
-    )
+    blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
         upper = np.square(out[:, start:], out=out[:, start:])
         columns = wk[start:].copy()

@@ -72,12 +72,12 @@ def _cosine_projections(model, grid, n_theta, m_keep):
     m runs over 0 .. m_keep. Only the upper triangle is projected: the
     fill is exactly symmetric under the exchange of the two photons,
     G_m(k_i, k_j) == G_m(k_j, k_i), so the columns j < start of a tile
-    repeat rows that earlier tiles hold. The amplitude is even in dtheta, so its cosine transform needs
-    only the distinct columns u = 0 .. n_theta // 2, the interior ones
-    standing for two grid points each. Each row tile is projected onto a
-    cosine table that carries those mirror weights and the
-    normalization; coef is a view of one buffer that the next step
-    overwrites.
+    repeat rows that earlier tiles hold. The amplitude is even in
+    dtheta, so its cosine transform needs only the distinct columns
+    u = 0 .. n_theta // 2, the interior ones standing for two grid
+    points each. Each row tile is projected onto a cosine table that
+    carries those mirror weights and the normalization; coef is a view
+    of one buffer that the next step overwrites.
     """
     h = n_theta // 2 + 1
     n = grid.count
@@ -88,7 +88,7 @@ def _cosine_projections(model, grid, n_theta, m_keep):
     mirror[[0, -1]] = 1.0
     table *= (model.unit_norm_constant / n_theta * mirror)[:, np.newaxis]
     buf = None
-    blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
+    blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
         if buf is None:
             buf = np.empty((stop - start) * n * (m_keep + 1))

@@ -104,22 +104,21 @@ def slice_intensity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak-normalized squared amplitude on the equal-magnitude subspace.
 
-    Evaluates |C(k, k, dtheta)|^2 on the given radial magnitudes and a
-    uniform relative-azimuth grid, then scales the global maximum to
-    exactly 1. The overall constant cancels, so the model does not need
-    to be normalized. Returns (dtheta, intensity) with intensity indexed
-    [k, dtheta]. A cutoff on the model zeroes rows below it.
+    Evaluates |C(k, k, dtheta)|^2 on the given radial magnitudes, in
+    pump-width units (k / sigma_perp), and a uniform relative-azimuth
+    grid, then scales the global maximum to exactly 1. The overall
+    constant cancels, so the model does not need to be normalized.
+    Returns (dtheta, intensity) with intensity indexed [k, dtheta]. A
+    cutoff on the model zeroes the rows below cutoff / sigma_perp.
     """
     k = np.asarray(k_values, dtype=float)
     dtheta, cos_dtheta = angular_grid(n_theta)
     # With q = k, s = 2 k^2 and xc = 2 k^2 cos(dtheta), rounded as in the tensor fill.
     two_k2 = 2.0 * (k * k)[:, np.newaxis]
-    shape = _kernels.amplitude(
-        model.family.kernel_code, two_k2, two_k2 * cos_dtheta, model.b_sigma
-    )
+    shape = _kernels.amplitude(model.family, two_k2, two_k2 * cos_dtheta, model.b_sigma)
     intensity = shape * shape
     if model.cutoff > 0.0:
-        intensity[k < model.cutoff, :] = 0.0
+        intensity[k < model.cutoff / model.sigma_perp, :] = 0.0
     peak = intensity.max()
     if peak > 0.0:
         intensity /= peak

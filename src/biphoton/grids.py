@@ -8,6 +8,7 @@ periodic integrands and feeds its distinct half into a cosine projection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +54,15 @@ class RadialGrid:
         return self.nodes.size
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], shared and so read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_radial_grid(n: int, k_min: float, k_max: float) -> RadialGrid:
     """Build an n-point Gauss-Legendre rule mapped to [k_min, k_max].
 
@@ -61,7 +71,7 @@ def build_radial_grid(n: int, k_min: float, k_max: float) -> RadialGrid:
     """
     if n < 2:
         raise ValueError("need at least 2 radial nodes")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     half = 0.5 * (k_max - k_min)
     return RadialGrid(
         nodes=k_min + half * (x + 1.0),

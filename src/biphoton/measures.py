@@ -153,7 +153,7 @@ def variance_K_estimate(
     # the result does not depend on the tile height of the sweep.
     plain = np.empty((grid.count, grid.count))
     weighted = np.empty((grid.count, grid.count))
-    blocks = _kernels.row_blocks(model.family.kernel_code, model.b_sigma, grid, n_theta)
+    blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
         np.square(out, out=out)
         out.sum(axis=2, out=plain[start:stop])

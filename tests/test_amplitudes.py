@@ -116,7 +116,7 @@ def test_fill_block_matches_evaluate(family):
     for n_theta in (16, 15):
         dtheta, _ = angular_grid(n_theta)
         out = np.full((k_rows.size, k.size, n_theta), np.nan)
-        _kernels.fill_amplitude_block(out, model.family.kernel_code, k_rows, k, t)
+        _kernels.fill_amplitude_block(out, model.family, k_rows, k, t)
         # every entry is written, the mirrored upper half included
         assert np.all(np.isfinite(out))
         for r, kr in enumerate(k_rows):
@@ -146,7 +146,7 @@ def test_gaussian_amplitude_is_the_two_factor_product():
         plus, minus = s + xc, s - xc
         exponent = plus + t * t * minus
         expected = np.exp(-plus) * np.exp(-t * t * minus)
-        value = _kernels.amplitude(_kernels.GAUSSIAN, s, xc.copy(), t)
+        value = _kernels.amplitude(AmplitudeFamily.DOUBLE_GAUSSIAN, s, xc.copy(), t)
         # An exponent beyond log(1 / _FLOOR) = 900 log 2 gives a value
         # below the floor, which is flushed to zero.
         normal = exponent < -math.log(_kernels._FLOOR)
@@ -158,7 +158,7 @@ def test_gaussian_amplitude_is_the_two_factor_product():
         assert np.all((value == 0.0) | (value >= _kernels._FLOOR))
 
 
-@pytest.mark.parametrize("family", [_kernels.GAUSSIAN, _kernels.SINC])
+@pytest.mark.parametrize("family", list(AmplitudeFamily))
 def test_amplitude_returns_no_subnormal_values(family):
     # |k + q|^2 from 600 to 760 crosses the floor at 900 log 2 = 623.8 and
     # the subnormal range of exp(-x) beyond 708.
@@ -187,7 +187,7 @@ def _plain_half(family, k_rows, k, t, n_theta):
     s = (k_rows[:, None] * k_rows[:, None] + k * k)[:, :, None]
     xc = (2.0 * k_rows[:, None] * k)[:, :, None] * cos_dtheta[: n_theta // 2 + 1]
     t2 = t * t
-    if family == _kernels.GAUSSIAN:
+    if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
         exponent = xc * (t2 - 1.0)
         exponent -= (1.0 + t2) * s
         return np.exp(exponent)
@@ -203,13 +203,13 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     # value at or above the floor and leave no nonzero value below it.
     # Both gaussian cases have rows that never reach the floor, which
     # skip the clamp and the flush.
-    code = AmplitudeFamily(family).kernel_code
+    family = AmplitudeFamily(family)
     grid = build_radial_grid(200, 0.0, default_k_max(t))
     k_rows = grid.nodes[::9]
     n_theta = 512
     out = np.full((k_rows.size, grid.count, n_theta), np.nan)
-    _kernels.fill_amplitude_block(out, code, k_rows, grid.nodes, t)
-    plain = _plain_half(code, k_rows, grid.nodes, t, n_theta)
+    _kernels.fill_amplitude_block(out, family, k_rows, grid.nodes, t)
+    plain = _plain_half(family, k_rows, grid.nodes, t, n_theta)
     kept = np.abs(plain) >= _kernels._FLOOR
     assert np.any(kept) and np.any(~kept)
     assert np.array_equal(out[:, :, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
@@ -217,7 +217,7 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
 
 
-@pytest.mark.parametrize("family", [_kernels.GAUSSIAN, _kernels.SINC])
+@pytest.mark.parametrize("family", list(AmplitudeFamily))
 def test_amplitude_ignores_stale_workspaces(family):
     # One radial row of the sinc 0.25 grid, which crosses the floor: stale
     # NaN and boolean contents in work and live must not reach the result.
@@ -288,10 +288,9 @@ def test_gaussian_norm_matches_closed_form():
 def test_fill_is_symmetric_under_photon_exchange(family, t):
     # The triangle sweeps rely on C(k_i, k_j, dtheta) and C(k_j, k_i, dtheta)
     # being the same double, not merely close.
-    code = AmplitudeFamily(family).kernel_code
     k = build_radial_grid(60, 0.0, default_k_max(t)).nodes
     out = np.empty((k.size, k.size, 128))
-    _kernels.fill_amplitude_block(out, code, k, k, t)
+    _kernels.fill_amplitude_block(out, AmplitudeFamily(family), k, k, t)
     assert np.any(out != 0.0)
     assert np.array_equal(out, out.transpose(1, 0, 2))
 
@@ -307,27 +306,30 @@ def test_row_tiles_fit_the_byte_budget():
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
-def test_row_blocks_tensor_is_independent_of_the_tile_height(family, t):
+def test_row_blocks_tensor_is_independent_of_the_tile_height(monkeypatch, family, t):
     # One workspace serves every tile of a sweep; stale rows of the last
     # tile and of the workspace must not leak into the next.
-    code = AmplitudeFamily(family).kernel_code
+    family = AmplitudeFamily(family)
     grid = build_radial_grid(37, 0.0, default_k_max(t))
     full = np.empty((grid.count, grid.count, 256))
-    _kernels.fill_amplitude_block(full, code, grid.nodes, grid.nodes, t)
-    for block_rows in (None, 1, 3, 16, 37, 99):
-        rows = []
-        for start, stop, block in _kernels.row_blocks(code, t, grid, 256, block_rows):
+    _kernels.fill_amplitude_block(full, family, grid.nodes, grid.nodes, t)
+    for rows in (_kernels.tile_rows(grid.count, 256), 1, 3, 16, 37, 99):
+        monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
+        tiles = []
+        for start, stop, block in _kernels.row_blocks(family, t, grid, 256):
             assert block.shape == (stop - start, grid.count, 256)
-            rows.append(block.copy())
-        assert np.array_equal(np.concatenate(rows), full)
+            tiles.append(block.copy())
+        assert np.array_equal(np.concatenate(tiles), full)
 
 
-def test_unit_norm_integral_block_size_independent():
+def test_unit_norm_integral_block_size_independent(monkeypatch):
     model = AmplitudeModel.from_b_sigma("sinc", 0.5)
     grid = build_radial_grid(150, 0.0, default_k_max(0.5))
-    reference = unit_norm_integral(model, grid, 256, block_rows=16)
-    for block_rows in (1, 7, 150, 999):
-        value = unit_norm_integral(model, grid, 256, block_rows=block_rows)
+    monkeypatch.setattr(_kernels, "tile_rows", lambda *_: 16)
+    reference = unit_norm_integral(model, grid, 256)
+    for rows in (1, 7, 150, 999):
+        monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
+        value = unit_norm_integral(model, grid, 256)
         assert value == pytest.approx(reference, rel=1e-13)
 
 

@@ -130,7 +130,7 @@ def test_cosine_projection_matches_real_fft(n_theta):
     grid = build_radial_grid(24, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma("sinc", t), grid, n_theta)
     scale = model.unit_norm_constant / n_theta
-    blocks = _kernels.row_blocks(model.family.kernel_code, t, grid, n_theta)
+    blocks = _kernels.row_blocks(model.family, t, grid, n_theta)
     reference = np.concatenate(
         [np.fft.rfft(block, axis=2).real * scale for _, _, block in blocks]
     )
@@ -151,7 +151,7 @@ def test_scan_probabilities_sum_to_one(family, t):
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     wk = grid.weights * grid.nodes
     reference = np.zeros(257)
-    for start, stop, block in _kernels.row_blocks(model.family.kernel_code, t, grid, 512):
+    for start, stop, block in _kernels.row_blocks(model.family, t, grid, 512):
         g = np.square(np.fft.rfft(block, axis=2).real)
         reference += np.einsum("i,j,ijm->m", wk[start:stop], wk, g)
     reference *= (2.0 * np.pi * model.unit_norm_constant / 512) ** 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    AmplitudeFamily,
     AmplitudeModel,
     TransverseVector,
     angular_fwhm,
@@ -106,6 +107,19 @@ def test_slice_gaussian_peak_flips_with_b_sigma():
     wide = AmplitudeModel.from_b_sigma("gaussian", 2.0)
     _, intensity = slice_intensity(wide, [1.0], n_theta=128)
     assert int(np.argmax(intensity[0])) == 0
+
+
+def test_slice_cutoff_is_in_pump_widths():
+    # With sigma_perp = 2 the slice's k are k / sigma_perp, so this model
+    # is its sigma_perp = 1 twin: b_sigma 0.25 and cutoff / sigma_perp 0.5.
+    k = np.linspace(0.0, 2.0, 9)
+    sinc = AmplitudeFamily.GAUSSIAN_SINC
+    wide = AmplitudeModel(sinc, sigma_perp=2.0, b=0.125, cutoff=1.0)
+    unit = AmplitudeModel(sinc, sigma_perp=1.0, b=0.25, cutoff=0.5)
+    _, intensity = slice_intensity(wide, k, n_theta=64)
+    _, reference = slice_intensity(unit, k, n_theta=64)
+    assert np.all(reference[:2] == 0.0) and np.all(reference[2:].max(axis=1) > 0.0)
+    assert np.array_equal(intensity, reference)
 
 
 def test_slice_zero_radius_row_is_flat():

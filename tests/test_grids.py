@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biphoton import RadialGrid, angular_grid, build_radial_grid, default_k_max
+from biphoton import grids
 
 
 @pytest.mark.parametrize("degree", [0, 1, 5, 17, 39])
@@ -19,6 +20,32 @@ def test_grid_respects_interval():
     assert grid.nodes[0] > 2.0 and grid.nodes[-1] < 7.0
     assert np.all(np.diff(grid.nodes) > 0)
     assert float(grid.weights.sum()) == pytest.approx(5.0, rel=1e-14)
+
+
+def test_legendre_rule_is_computed_once_per_size(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    grids._legendre_rule.cache_clear()
+    first = build_radial_grid(37, 0.5, 4.0)
+    second = build_radial_grid(37, 0.5, 4.0)
+    assert calls == [37]
+    assert np.array_equal(first.nodes, second.nodes)
+    assert np.array_equal(first.weights, second.weights)
+    x, w = leggauss(37)
+    assert np.array_equal(first.nodes, 0.5 + 1.75 * (x + 1.0))
+    assert np.array_equal(first.weights, 1.75 * w)
+    # Each grid owns its arrays; the cached [-1, 1] rule cannot be edited.
+    first.nodes[0] = -1.0
+    assert second.nodes[0] > 0.5
+    cached_x, _ = grids._legendre_rule(37)
+    with pytest.raises(ValueError):
+        cached_x[0] = 0.0
 
 
 def test_grid_validation():

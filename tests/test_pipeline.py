@@ -1,3 +1,4 @@
+import inspect
 import math
 import subprocess
 import sys
@@ -17,6 +18,32 @@ from biphoton import (
     apply_filter,
     decompose,
 )
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        biphoton.normalize,
+        biphoton.angular_fourier,
+        biphoton.adaptive_sectors,
+        biphoton.variance_K_estimate,
+        biphoton.slice_intensity,
+    ],
+)
+def test_stage_n_theta_default_is_the_run_default(function):
+    # RunConfig is the one source of run defaults; a stage's own keyword
+    # default may only follow it, never drift from it.
+    assert _default(function, "n_theta") == RunConfig().n_theta
+
+
+def test_stage_tolerance_and_kmax_defaults_are_the_run_defaults():
+    config = RunConfig()
+    assert _default(biphoton.adaptive_sectors, "sector_tol") == config.sector_tol
+    assert _default(biphoton.default_k_max, "factor") == config.kmax_factor
 
 
 def test_runconfig_validation():
