@@ -158,13 +158,14 @@ def test_gaussian_amplitude_is_the_two_factor_product():
         assert np.all((value == 0.0) | (value >= _kernels._FLOOR))
 
 
-@pytest.mark.parametrize("family", list(AmplitudeFamily))
+@pytest.mark.parametrize("family", ["gaussian", "sinc"])
 def test_amplitude_returns_no_subnormal_values(family):
     # |k + q|^2 from 600 to 760 crosses the floor at 900 log 2 = 623.8 and
     # the subnormal range of exp(-x) beyond 708.
     plus = np.linspace(600.0, 760.0, 4001)
     s = 0.5 * plus + 1.0
     xc = 0.5 * plus - 1.0
+    family = AmplitudeFamily(family)
     value = _kernels.amplitude(family, s, xc, 0.3, work=np.empty_like(s))
     magnitude = np.abs(value)
     assert np.all((magnitude == 0.0) | (magnitude >= _kernels._FLOOR))
@@ -217,13 +218,14 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
 
 
-@pytest.mark.parametrize("family", list(AmplitudeFamily))
+@pytest.mark.parametrize("family", ["gaussian", "sinc"])
 def test_amplitude_ignores_stale_workspaces(family):
     # One radial row of the sinc 0.25 grid, which crosses the floor: stale
     # NaN and boolean contents in work and live must not reach the result.
     k = build_radial_grid(200, 0.0, default_k_max(0.25)).nodes
     _, cos_dtheta = angular_grid(512)
     kr = k[150]
+    family = AmplitudeFamily(family)
     s = (kr * kr + k * k)[:, None]
     xc = (2.0 * kr * k)[:, None] * cos_dtheta[:257]
     fresh = _kernels.amplitude(family, s, xc.copy(), 0.25)

@@ -20,30 +20,23 @@ from biphoton import (
 )
 
 
-def _default(function, name):
-    return inspect.signature(function).parameters[name].default
-
-
 @pytest.mark.parametrize(
-    "function",
+    "stage, keyword, setting",
     [
-        biphoton.normalize,
-        biphoton.angular_fourier,
-        biphoton.adaptive_sectors,
-        biphoton.variance_K_estimate,
-        biphoton.slice_intensity,
+        ("normalize", "n_theta", "n_theta"),
+        ("angular_fourier", "n_theta", "n_theta"),
+        ("adaptive_sectors", "n_theta", "n_theta"),
+        ("variance_K_estimate", "n_theta", "n_theta"),
+        ("slice_intensity", "n_theta", "n_theta"),
+        ("adaptive_sectors", "sector_tol", "sector_tol"),
+        ("default_k_max", "factor", "kmax_factor"),
     ],
 )
-def test_stage_n_theta_default_is_the_run_default(function):
+def test_stage_default_is_the_run_default(stage, keyword, setting):
     # RunConfig is the one source of run defaults; a stage's own keyword
     # default may only follow it, never drift from it.
-    assert _default(function, "n_theta") == RunConfig().n_theta
-
-
-def test_stage_tolerance_and_kmax_defaults_are_the_run_defaults():
-    config = RunConfig()
-    assert _default(biphoton.adaptive_sectors, "sector_tol") == config.sector_tol
-    assert _default(biphoton.default_k_max, "factor") == config.kmax_factor
+    default = inspect.signature(getattr(biphoton, stage)).parameters[keyword].default
+    assert default == getattr(RunConfig(), setting)
 
 
 def test_runconfig_validation():
