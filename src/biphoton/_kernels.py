@@ -2,14 +2,17 @@
 
 Every amplitude value in the package comes from :func:`amplitude`: the
 pointwise :func:`biphoton.amplitudes.evaluate`, the equal-magnitude slice,
-and the (N, N, n_theta) tensor that normalization, the angular Fourier
-pass and the variance estimate sweep through :func:`row_blocks`. The
-sweep fills the tensor in tiles of whole radial rows, as many as fit a
-2 MiB budget (:func:`tile_rows`, 2 rows at N = 200 and n_theta = 512),
-so that each consumer reads a tile back from cache; the tile height
-depends only on the grid shape. :func:`fill_amplitude_block` fills a
-tile with NumPy one radial row at a time, into workspaces the sweep
-allocates once, leaving the normalization constant to the caller.
+and the amplitude tensor that normalization, the angular Fourier pass and
+the variance estimate sweep through :func:`row_blocks`. The tensor is
+stored azimuth-major, element [i, u, j] at (k_i, dtheta_u, k_j), so a
+radial row i is an (n_theta, N) block whose rows run over the azimuth and
+whose contiguous axis runs over the second photon's k. The sweep fills it
+in tiles of whole radial rows, as many as fit a 2 MiB budget
+(:func:`tile_rows`, 2 rows at N = 200 and n_theta = 512), so that each
+consumer reads a tile back from cache; the tile height depends only on
+the grid shape. :func:`fill_amplitude_block` fills a tile with NumPy one
+radial row at a time, into workspaces the sweep allocates once, leaving
+the normalization constant to the caller.
 
 The fill is bitwise symmetric under the exchange of the two photons,
 k_i <-> k_j: both the sum k_i^2 + k_j^2 and the product 2 k_i k_j round
@@ -18,11 +21,13 @@ columns j >= i of a tile's rows i (the upper triangle) and count the
 rest through the transpose.
 
 The amplitude depends on the two azimuths only through cos(dtheta), so
-on the uniform azimuth grid column u of the tensor equals column
-n_theta - u. The fill evaluates the formula on the distinct columns
-0 .. n_theta // 2 and copies the rest as their mirror image, which
+on the uniform azimuth grid row u of a radial row equals row
+n_theta - u. The fill evaluates the formula on the distinct rows
+0 .. n_theta // 2 and copies the rest as one mirrored block, which
 halves the sin/exp work; :func:`biphoton.grids.angular_grid` folds its
 cosine table the same way, so every consumer sees an exactly even table.
+The consumers read only the distinct rows and weigh them by
+:func:`mirror_weights`.
 
 Magnitudes below 2^-900 are stored as zero. Where the pump envelope
 exp(-|k + q|^2) underflows, which is most of a narrow-sinc tensor,
@@ -58,7 +63,7 @@ _LOG_CLAMP = _LOG_FLOOR - 1.0
 """Exponents are clamped here, so np.exp never leaves its fast range."""
 
 
-def amplitude(family, s, xc, t, out=None, work=None, live=None):
+def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False):
     """Unit-constant amplitude from the squared vector sums.
 
     Parameters
@@ -80,6 +85,11 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     live : ndarray of bool, optional
         Workspace shaped like xc for the floor masks; allocated when
         omitted.
+    descending : bool, optional
+        True when xc never increases along its first axis in any column,
+        as in the fill's rows of 2 k q cos(dtheta_u), u = 0 .. n_theta // 2.
+        The double-Gaussian floor check then reads one row, see
+        :func:`_clears_floor`.
 
     Returns exp(-|k + q|^2) times exp(-t^2 |k - q|^2) or
     sinc(t^2 |k - q|^2), with sinc(0) = 1, and zero wherever that
@@ -108,9 +118,7 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
         np.multiply(xc, t2 - 1.0, out=out)
         out -= (1.0 + t2) * s
-        # A row whose every exponent is at least log(_FLOOR) + 1 has
-        # every value above e * _FLOOR and skips the clamp and the flush.
-        if out.min() >= _LOG_FLOOR + 1.0:
+        if _clears_floor(out, t2, descending):
             return np.exp(out, out=out)
         np.maximum(out, _LOG_CLAMP, out=out)
         np.exp(out, out=out)
@@ -146,34 +154,64 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None):
     return out
 
 
+def _clears_floor(exponent, t2, descending):
+    """Whether every double-Gaussian exponent is at least log(_FLOOR) + 1.
+
+    Such an array has every value above e * _FLOOR, so :func:`amplitude`
+    skips the clamp and the flush. The rounded exponent
+    (t^2 - 1) xc - (1 + t^2) s is monotone in xc for fixed s, so when xc
+    descends along the first axis the minimum of every column lies in
+    the last row for t > 1 and in the first row otherwise; only that row
+    is read.
+    """
+    if descending:
+        exponent = exponent[-1] if t2 > 1.0 else exponent[0]
+    return exponent.min() >= _LOG_FLOOR + 1.0
+
+
+def mirror_weights(n_theta):
+    """Weights of the distinct azimuth rows u = 0 .. n_theta // 2.
+
+    A sum over all n_theta rows of a tile equals the sum over the
+    distinct rows weighted by these: 1 for u = 0 and, when n_theta is
+    even, for u = n_theta / 2, which have no mirror; 2 for every other
+    row, which also stands for row n_theta - u.
+    """
+    weights = np.full(n_theta // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n_theta % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def fill_workspace(n, n_theta):
     """Workspaces for :func:`fill_amplitude_block` on rows of n radial nodes.
 
-    Returns (c, xc, half, work, live): the distinct half of the cosine
-    table and four (n, n_theta // 2 + 1) buffers. A sweep allocates them
-    once and hands them to every fill call.
+    Returns (c, xc, work, live): the distinct half of the cosine table
+    and three (n_theta // 2 + 1, n) buffers. A sweep allocates them once
+    and hands them to every fill call.
     """
     h = n_theta // 2 + 1
     _, cos_dtheta = angular_grid(n_theta)
     return (
         cos_dtheta[:h].copy(),
-        np.empty((n, h)),
-        np.empty((n, h)),
-        np.empty((n, h)),
-        np.empty((n, h), dtype=bool),
+        np.empty((h, n)),
+        np.empty((h, n)),
+        np.empty((h, n), dtype=bool),
     )
 
 
 def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
-    """Fill out[r, j, u] with the unit-constant amplitude at (k_rows[r], k[j], dtheta[u]).
+    """Fill out[r, u, j] with the unit-constant amplitude at (k_rows[r], dtheta[u], k[j]).
 
-    The azimuths are ``angular_grid(out.shape[2])``. Per radial row the
-    formula runs on columns 0 .. n_theta // 2 only; column u > n_theta // 2
-    is a copy of column n_theta - u, which holds the same cosine.
+    The azimuths are ``angular_grid(out.shape[1])``. Per radial row the
+    formula runs straight into the distinct rows u = 0 .. n_theta // 2 of
+    out[r]; row u > n_theta // 2 is a copy of row n_theta - u, which
+    holds the same cosine, made as one block copy.
 
     Parameters
     ----------
-    out : ndarray, shape (len(k_rows), len(k), n_theta)
+    out : ndarray, shape (len(k_rows), n_theta, len(k))
         Destination buffer, overwritten in place.
     family : AmplitudeFamily
         As for :func:`amplitude`.
@@ -185,21 +223,20 @@ def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
     workspace : tuple, optional
         ``fill_workspace(len(k), n_theta)``; allocated when omitted.
     """
-    n_theta = out.shape[2]
+    n_theta = out.shape[1]
     h = n_theta // 2 + 1
     if workspace is None:
         workspace = fill_workspace(k.size, n_theta)
-    c, xc, half, work, live = workspace
+    c, xc, work, live = workspace
     for r, kr in enumerate(k_rows):
         s = kr * kr + k * k
-        x = 2.0 * kr * k
         # The outer product through einsum is bitwise the broadcast
-        # x[:, None] * c, whose 257-long inner loops ran it at half speed.
-        np.einsum("i,j->ij", x, c, out=xc)
-        amplitude(family, s[:, np.newaxis], xc, t, out=half, work=work, live=live)
+        # c[:, None] * x and puts k on the contiguous axis, so the
+        # per-column s of the formula broadcasts along whole rows.
+        np.einsum("u,j->uj", c, 2.0 * kr * k, out=xc)
         row = out[r]
-        row[:, :h] = half
-        row[:, h:] = half[:, n_theta - h : 0 : -1]
+        amplitude(family, s, xc, t, out=row[:h], work=work, live=live, descending=True)
+        row[h:] = row[n_theta - h : 0 : -1]
 
 
 _TILE_BYTES = 2 << 20
@@ -207,7 +244,7 @@ _TILE_BYTES = 2 << 20
 
 
 def tile_rows(n, n_theta):
-    """Radial rows per tile of the (n, n, n_theta) tensor.
+    """Radial rows per tile of the (n, n_theta, n) tensor.
 
     As many as fit _TILE_BYTES, at least one: 2 at n = 200 and
     n_theta = 512.
@@ -218,18 +255,18 @@ def tile_rows(n, n_theta):
 def row_blocks(family: AmplitudeFamily, t, grid: RadialGrid, n_theta: int):
     """Sweep the unit-constant amplitude tensor on a grid in row tiles.
 
-    Yields (start, stop, block) with block[r, j, u] the amplitude at
-    (k[start + r], k[j], dtheta[u]) on ``angular_grid(n_theta)``, so the
-    full (N, N, n_theta) array never materializes. The block is a view of
-    one buffer that the next step overwrites; consumers may modify it in
-    place. Tiles are ``tile_rows(N, n_theta)`` rows high, so that a
-    consumer reads each tile back from cache; the buffer and the fill
-    workspaces are allocated once per sweep.
+    Yields (start, stop, block) with block[r, u, j] the amplitude at
+    (k[start + r], dtheta[u], k[j]) on ``angular_grid(n_theta)``, shape
+    (stop - start, n_theta, N), so the full tensor never materializes.
+    The block is a view of one buffer that the next step overwrites;
+    consumers may modify it in place. Tiles are ``tile_rows(N, n_theta)``
+    rows high, so that a consumer reads each tile back from cache; the
+    buffer and the fill workspaces are allocated once per sweep.
     """
     k = grid.nodes
     n = grid.count
     block_rows = tile_rows(n, n_theta)
-    buf = np.empty((min(block_rows, n), n, n_theta))
+    buf = np.empty((min(block_rows, n), n_theta, n))
     workspace = fill_workspace(n, n_theta)
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)

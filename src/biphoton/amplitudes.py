@@ -155,18 +155,22 @@ def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) ->
     dk dq dtheta, evaluated here with Gauss-Legendre weights radially and
     a uniform rule in the relative azimuth. Works in sigma_perp-scaled
     units with the normalization constant set to one; the sweep in row
-    tiles keeps the memory footprint flat. The amplitude is symmetric
-    under k <-> q, so each tile sums only its columns from the diagonal
-    on, and a column past the tile counts twice.
+    tiles keeps the memory footprint flat. The amplitude is even in
+    dtheta, so each tile squares only its distinct azimuth rows
+    u = 0 .. n_theta // 2 and weighs them by 1, 2, ..., 2, 1; it is also
+    symmetric under k <-> q, so only the columns from the diagonal on are
+    summed, and a column past the tile counts twice.
     """
+    h = n_theta // 2 + 1
+    mirror = _kernels.mirror_weights(n_theta)
     wk = grid.weights * grid.nodes
     total = 0.0
     blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
-        upper = np.square(out[:, start:], out=out[:, start:])
+        upper = np.square(out[:, :h, start:], out=out[:, :h, start:])
         columns = wk[start:].copy()
         columns[stop - start :] *= 2.0
-        total += float(wk[start:stop] @ upper.sum(axis=2) @ columns)
+        total += float(wk[start:stop] @ (mirror @ upper) @ columns)
     return total * (2.0 * np.pi) * (2.0 * np.pi / n_theta)
 
 

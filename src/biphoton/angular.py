@@ -7,21 +7,22 @@ the two photons. Each sector contributes a probability P_m and a
 symmetric radial kernel whose eigendecomposition is handled downstream.
 
 Both passes sample a uniform azimuth grid, which is spectrally accurate
-here because the integrand is smooth and periodic. Both passes project
-the distinct half of each row block onto one mirror-weighted cosine
-table: the scan pass reduces the m up to n_theta / 4 to P_m, and the
-coefficient pass stores the kernels of the kept m. Only m >= 0 is
-stored; the amplitude is real and even in the relative azimuth, so
-P_m = P_{-m} and the kernels coincide. The amplitude is also exactly
-symmetric under the exchange of the two photons, so both passes project
-only the upper triangle j >= i of each row tile: the scan weighs the
-pairs off the tile twice, and the coefficient pass copies the lower
+here because the integrand is smooth and periodic. Both passes contract
+the distinct azimuth rows of each azimuth-major row tile with one
+mirror-weighted (m + 1, n_theta / 2 + 1) cosine table, so the product
+comes out m-major: the scan pass reduces the first rung of the sector
+schedule, m <= 8, to P_m, and the coefficient pass stores the kernels.
+Only m >= 0 is stored; the amplitude is real and even in the relative
+azimuth, so P_m = P_{-m} and the kernels coincide. The amplitude is also
+exactly symmetric under the exchange of the two photons, so both passes
+project only the upper triangle j >= i of each row tile: the scan weighs
+the pairs off the tile twice, and the coefficient pass copies the lower
 triangle from the upper one, which makes every kernel exactly symmetric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+
+_FIRST_RUNG = 8
+"""Smallest m_max of the adaptive_sectors schedule; the scan reads m up to it."""
 
 
 @dataclass(frozen=True)
@@ -67,54 +71,52 @@ class SectorKernel:
 
 
 def _cosine_projections(model, grid, n_theta, m_keep):
-    """Yield (start, stop, coef) with coef[r, j, m] = G_m(k[start + r], k[start + j]).
+    """Yield (start, stop, coef) with coef[r, m, j] = G_m(k[start + r], k[start + j]).
 
     m runs over 0 .. m_keep. Only the upper triangle is projected: the
     fill is exactly symmetric under the exchange of the two photons,
     G_m(k_i, k_j) == G_m(k_j, k_i), so the columns j < start of a tile
     repeat rows that earlier tiles hold. The amplitude is even in
-    dtheta, so its cosine transform needs only the distinct columns
+    dtheta, so its cosine transform needs only the distinct azimuth rows
     u = 0 .. n_theta // 2, the interior ones standing for two grid
-    points each. Each row tile is projected onto a cosine table that
-    carries those mirror weights and the normalization; coef is a view
-    of one buffer that the next step overwrites.
+    points each. Each radial row of a tile is multiplied from the left
+    by an (m_keep + 1, n_theta // 2 + 1) cosine table that carries
+    those mirror weights and the normalization; coef is a view of one
+    buffer that the next step overwrites.
     """
     h = n_theta // 2 + 1
     n = grid.count
     _, cos_dtheta = angular_grid(n_theta)
     # cos(2 pi m u / n_theta) read from the folded, exactly even table.
-    table = cos_dtheta[np.outer(np.arange(h), np.arange(m_keep + 1)) % n_theta]
-    mirror = np.full(h, 2.0)
-    mirror[[0, -1]] = 1.0
-    table *= (model.unit_norm_constant / n_theta * mirror)[:, np.newaxis]
+    table = cos_dtheta[np.outer(np.arange(m_keep + 1), np.arange(h)) % n_theta]
+    table *= model.unit_norm_constant / n_theta * _kernels.mirror_weights(n_theta)
     buf = None
     blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
         if buf is None:
-            buf = np.empty((stop - start) * n * (m_keep + 1))
-        coef = buf[: (stop - start) * (n - start) * (m_keep + 1)]
-        coef = coef.reshape(stop - start, n - start, m_keep + 1)
+            buf = np.empty((stop - start) * (m_keep + 1) * n)
+        coef = buf[: (stop - start) * (m_keep + 1) * (n - start)]
+        coef = coef.reshape(stop - start, m_keep + 1, n - start)
         # The fill stores no magnitude below 2^-900, so no product here
         # comes out subnormal; such products ran this projection at half
         # speed on sinc 0.25 blocks.
-        yield start, stop, np.matmul(out[:, start:, :h], table, out=coef)
+        yield start, stop, np.matmul(table, out[:, :h, start:], out=coef)
 
 
 def _scan_pass(model, grid, n_theta):
-    """P_m for m = 0 .. n_theta // 4, the top of the adaptive_sectors schedule.
+    """P_m for m = 0 .. 8, the first rung of the adaptive_sectors schedule.
 
     Each tile's squared coefficients are reduced against the
-    w_i k_i w_j k_j weights by one matrix-vector product; a column past
-    the tile also stands for its transposed pair and weighs twice.
+    w_i k_i w_j k_j weights; a column past the tile also stands for its
+    transposed pair and weighs twice.
     """
-    m_top = n_theta // 4
     wk = grid.weights * grid.nodes
-    p_m = np.zeros(m_top + 1)
-    for start, stop, coef in _cosine_projections(model, grid, n_theta, m_top):
+    p_m = np.zeros(_FIRST_RUNG + 1)
+    for start, stop, coef in _cosine_projections(model, grid, n_theta, _FIRST_RUNG):
         np.square(coef, out=coef)
         weight = np.outer(wk[start:stop], wk[start:])
         weight[:, stop - start :] *= 2.0
-        p_m += weight.ravel() @ coef.reshape(-1, m_top + 1)
+        p_m += np.einsum("rmj,rj->m", coef, weight)
     return p_m * _TWO_PI**2
 
 
@@ -122,17 +124,15 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
     """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
 
     The result is sector-major, shape (m_keep + 1, N, N), so that G_m is
-    the contiguous block gcoef[m]. Each tile fills its rows from the
-    diagonal on; the triangle below is then copied from the transpose,
-    one sector at a time while it is in cache, so every G_m is exactly
-    symmetric.
+    the contiguous block gcoef[m]. Each tile's m-major projection fills
+    its rows from the diagonal on; the triangle below is then copied
+    from the transpose, one sector at a time while it is in cache, so
+    every G_m is exactly symmetric.
     """
     n = grid.count
     gcoef = np.empty((m_keep + 1, n, n))
     for start, stop, coef in _cosine_projections(model, grid, n_theta, m_keep):
-        # Moving m to the front per tile beats one product with m-major
-        # output, which measured a third slower on sinc blocks.
-        gcoef[:, start:stop, start:] = np.moveaxis(coef, 2, 0)
+        gcoef[:, start:stop, start:] = coef.transpose(1, 0, 2)
     lower = np.tri(n, n, -1, dtype=bool)
     for g in gcoef:
         np.copyto(g, g.T, where=lower)
@@ -188,6 +188,13 @@ def sector_coverage(sectors: list[SectorKernel]) -> float:
     return float(sum(s.p_m if s.m == 0 else 2.0 * s.p_m for s in sectors))
 
 
+def _cumulative(p_m) -> np.ndarray:
+    """Captured probability up to each m, counting both signs of m > 0."""
+    signed = np.array(p_m, dtype=float)
+    signed[1:] *= 2.0
+    return np.cumsum(signed)
+
+
 def adaptive_sectors(
     model: AmplitudeModel,
     grid: RadialGrid,
@@ -196,12 +203,15 @@ def adaptive_sectors(
 ) -> tuple[list[SectorKernel], int]:
     """Grow m_max until the captured probability reaches 1 - sector_tol.
 
-    Follows a doubling schedule starting at m_max = 8. A cheap scan pass
-    first accumulates P_m for every m <= n_theta / 4, so the schedule is
-    resolved with two amplitude sweeps regardless of where it stops. The
-    schedule's largest m_max is the scan's last m, n_theta / 4 (128 at
-    n_theta = 512); if that cannot reach the target, n_theta is doubled
-    (at most twice) before giving up.
+    Follows a doubling schedule starting at m_max = 8. A scan pass first
+    sums P_m for m <= 8 only; when they reach the target, the coefficient
+    pass projects those nine sectors. Otherwise one coefficient pass
+    projects every m <= n_theta / 4 (128 at n_theta = 512), and the
+    schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m; the
+    sectors up to the m_max it stops at are copied into an array of
+    their own, so the result does not hold the larger one. If n_theta / 4
+    cannot reach the target, n_theta is doubled (at most twice) and only
+    the coefficient pass is repeated before giving up.
 
     Returns the sector list and the n_theta it was computed with.
     """
@@ -209,14 +219,21 @@ def adaptive_sectors(
     if not 0.0 < sector_tol < 1.0:
         raise ValueError("sector_tol must be in (0, 1)")
     target = 1.0 - sector_tol
+    if _cumulative(_scan_pass(model, grid, n_theta))[-1] >= target:
+        return angular_fourier(model, grid, _FIRST_RUNG, n_theta), n_theta
     for _ in range(3):
-        signed = _scan_pass(model, grid, n_theta)
-        signed[1:] *= 2.0
-        cumulative = np.cumsum(signed)
-        m_max = 8
-        while m_max < cumulative.size:
-            if cumulative[m_max] >= target:
-                return angular_fourier(model, grid, m_max, n_theta), n_theta
+        top = n_theta // 4
+        sectors = angular_fourier(model, grid, top, n_theta)
+        cumulative = _cumulative([sector.p_m for sector in sectors])
+        m_max = 2 * _FIRST_RUNG
+        while m_max < top and cumulative[m_max] < target:
             m_max *= 2
+        if cumulative[m_max] >= target:
+            if m_max < top:
+                kept = np.array([sector.matrix for sector in sectors[: m_max + 1]])
+                sectors = [replace(sector, matrix=g) for sector, g in zip(sectors, kept)]
+            return sectors, n_theta
+        # Released before the doubled pass allocates its larger array.
+        del sectors
         n_theta *= 2
     raise ValueError("angular resolution exhausted")

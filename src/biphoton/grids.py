@@ -97,7 +97,7 @@ def angular_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
 
     The cosine of dtheta[u] is taken at the folded index min(u, n_theta - u),
     so the table is exactly even: cos_dtheta[u] == cos_dtheta[n_theta - u].
-    The tensor fill relies on this to copy the upper half of every row.
+    The tensor fill relies on this to copy the mirrored azimuth rows.
     """
     if n_theta < 4:
         raise ValueError("n_theta too small")

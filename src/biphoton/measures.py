@@ -147,17 +147,21 @@ def variance_K_estimate(
             stacklevel=2,
         )
     k = grid.nodes
+    h = n_theta // 2 + 1
     _, cos_dtheta = angular_grid(n_theta)
+    mirror = _kernels.mirror_weights(n_theta)
+    cosine = mirror * cos_dtheta[:h]
     wk = grid.weights * k
     # The azimuth sums of every node pair are kept and reduced once, so
-    # the result does not depend on the tile height of the sweep.
+    # the result does not depend on the tile height of the sweep. They
+    # read the distinct azimuth rows only, weighted by their mirrors.
     plain = np.empty((grid.count, grid.count))
     weighted = np.empty((grid.count, grid.count))
     blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
     for start, stop, out in blocks:
-        np.square(out, out=out)
-        out.sum(axis=2, out=plain[start:stop])
-        np.matmul(out, cos_dtheta, out=weighted[start:stop])
+        half = np.square(out[:, :h], out=out[:, :h])
+        np.matmul(mirror, half, out=plain[start:stop])
+        np.matmul(cosine, half, out=weighted[start:stop])
     norm_sum = float(wk @ plain @ wk)
     v_sum = float((wk * k * k) @ plain @ wk)
     w_sum = float((wk * k) @ weighted @ (wk * k))

@@ -1,6 +1,7 @@
 import pytest
 
 import biphoton
+from biphoton import _kernels
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +25,21 @@ def gauss_kernels(gauss_model_grid):
 def sinc_quarter():
     """Full decomposition of the sinc amplitude at t = 0.25 (default grid)."""
     return biphoton.decompose("sinc", 0.25)
+
+
+@pytest.fixture
+def fill_shapes(monkeypatch):
+    """Shapes of the tiles passed to _kernels.fill_amplitude_block, in call order.
+
+    perfbench counts the values a run fills the same way, from the size
+    of the first argument.
+    """
+    shapes = []
+    fill = _kernels.fill_amplitude_block
+
+    def counting_fill(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return fill(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "fill_amplitude_block", counting_fill)
+    return shapes

@@ -115,7 +115,7 @@ def test_fill_block_matches_evaluate(family):
     k = np.append(rng.uniform(0.05, 3.0, size=6), k_rows[2])
     for n_theta in (16, 15):
         dtheta, _ = angular_grid(n_theta)
-        out = np.full((k_rows.size, k.size, n_theta), np.nan)
+        out = np.full((k_rows.size, n_theta, k.size), np.nan)
         _kernels.fill_amplitude_block(out, model.family, k_rows, k, t)
         # every entry is written, the mirrored upper half included
         assert np.all(np.isfinite(out))
@@ -125,11 +125,11 @@ def test_fill_block_matches_evaluate(family):
                     expected = evaluate(
                         model, TransverseVector(kr, du), TransverseVector(kj, 0.0)
                     )
-                    assert out[r, j, u] == pytest.approx(expected, rel=1e-13, abs=0.0)
-        # the fill is exactly even in dtheta: column u equals column n_theta - u
-        assert np.array_equal(out[:, :, 1:], out[:, :, :0:-1])
+                    assert out[r, u, j] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # the fill is exactly even in dtheta: row u equals row n_theta - u
+        assert np.array_equal(out[:, 1:], out[:, :0:-1])
         # k = q at dtheta = 0 puts the sinc argument at exactly zero: sinc(0) = 1.
-        assert out[2, -1, 0] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
+        assert out[2, 0, -1] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
 
 
 def test_gaussian_amplitude_is_the_two_factor_product():
@@ -208,14 +208,33 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     grid = build_radial_grid(200, 0.0, default_k_max(t))
     k_rows = grid.nodes[::9]
     n_theta = 512
-    out = np.full((k_rows.size, grid.count, n_theta), np.nan)
+    out = np.full((k_rows.size, n_theta, grid.count), np.nan)
     _kernels.fill_amplitude_block(out, family, k_rows, grid.nodes, t)
-    plain = _plain_half(family, k_rows, grid.nodes, t, n_theta)
+    plain = _plain_half(family, k_rows, grid.nodes, t, n_theta).transpose(0, 2, 1)
     kept = np.abs(plain) >= _kernels._FLOOR
     assert np.any(kept) and np.any(~kept)
-    assert np.array_equal(out[:, :, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
+    assert np.array_equal(out[:, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
     magnitude = np.abs(out)
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.8, 2.5])
+def test_gaussian_floor_check_reads_the_extreme_azimuth_row(t):
+    # The fill's exponent rows run over descending cos(dtheta); the check
+    # that reads one of them decides as the minimum over all of them. At
+    # t = 1 the exponent -2 s never nears the floor on the default grid.
+    grid = build_radial_grid(200, 0.0, default_k_max(t))
+    k = grid.nodes
+    c = _kernels.fill_workspace(k.size, 512)[0]
+    t2 = t * t
+    decisions = set()
+    for kr in k:
+        exponent = np.einsum("u,j->uj", c, 2.0 * kr * k) * (t2 - 1.0)
+        exponent -= (1.0 + t2) * (kr * kr + k * k)
+        expected = bool(exponent.min() >= _kernels._LOG_FLOOR + 1.0)
+        assert _kernels._clears_floor(exponent, t2, descending=True) == expected
+        decisions.add(expected)
+    assert decisions == ({True} if t == 1.0 else {True, False})
 
 
 @pytest.mark.parametrize("family", ["gaussian", "sinc"])
@@ -291,10 +310,10 @@ def test_fill_is_symmetric_under_photon_exchange(family, t):
     # The triangle sweeps rely on C(k_i, k_j, dtheta) and C(k_j, k_i, dtheta)
     # being the same double, not merely close.
     k = build_radial_grid(60, 0.0, default_k_max(t)).nodes
-    out = np.empty((k.size, k.size, 128))
+    out = np.empty((k.size, 128, k.size))
     _kernels.fill_amplitude_block(out, AmplitudeFamily(family), k, k, t)
     assert np.any(out != 0.0)
-    assert np.array_equal(out, out.transpose(1, 0, 2))
+    assert np.array_equal(out, out.transpose(2, 1, 0))
 
 
 def test_row_tiles_fit_the_byte_budget():
@@ -313,13 +332,13 @@ def test_row_blocks_tensor_is_independent_of_the_tile_height(monkeypatch, family
     # tile and of the workspace must not leak into the next.
     family = AmplitudeFamily(family)
     grid = build_radial_grid(37, 0.0, default_k_max(t))
-    full = np.empty((grid.count, grid.count, 256))
+    full = np.empty((grid.count, 256, grid.count))
     _kernels.fill_amplitude_block(full, family, grid.nodes, grid.nodes, t)
     for rows in (_kernels.tile_rows(grid.count, 256), 1, 3, 16, 37, 99):
         monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
         tiles = []
         for start, stop, block in _kernels.row_blocks(family, t, grid, 256):
-            assert block.shape == (stop - start, grid.count, 256)
+            assert block.shape == (stop - start, 256, grid.count)
             tiles.append(block.copy())
         assert np.array_equal(np.concatenate(tiles), full)
 

@@ -132,18 +132,18 @@ def test_cosine_projection_matches_real_fft(n_theta):
     scale = model.unit_norm_constant / n_theta
     blocks = _kernels.row_blocks(model.family, t, grid, n_theta)
     reference = np.concatenate(
-        [np.fft.rfft(block, axis=2).real * scale for _, _, block in blocks]
+        [np.fft.rfft(block, axis=1).real * scale for _, _, block in blocks]
     )
     for m_keep in (0, 8, 128, 255):
         gcoef = _coefficient_pass(model, grid, n_theta, m_keep)
-        expected = np.moveaxis(reference[:, :, : m_keep + 1], 2, 0)
+        expected = np.moveaxis(reference[:, : m_keep + 1], 1, 0)
         error = float(np.max(np.abs(gcoef - expected)))
         assert error <= 1e-13 * float(np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
 def test_scan_probabilities_sum_to_one(family, t):
-    # The scan stops at m = n_theta / 4, the top of the adaptive schedule.
+    # The scan stops at m = 8, the first rung of the adaptive schedule.
     # A real-FFT reference holds every m: by Parseval, on the grid the
     # model was normalized on, its signed P_m (m = 0 and n_theta / 2 once,
     # the rest twice) add up to the norm, and the scan matches it per m.
@@ -152,32 +152,37 @@ def test_scan_probabilities_sum_to_one(family, t):
     wk = grid.weights * grid.nodes
     reference = np.zeros(257)
     for start, stop, block in _kernels.row_blocks(model.family, t, grid, 512):
-        g = np.square(np.fft.rfft(block, axis=2).real)
-        reference += np.einsum("i,j,ijm->m", wk[start:stop], wk, g)
+        g = np.square(np.fft.rfft(block, axis=1).real)
+        reference += np.einsum("i,j,imj->m", wk[start:stop], wk, g)
     reference *= (2.0 * np.pi * model.unit_norm_constant / 512) ** 2
     total = reference[0] + 2.0 * reference[1:-1].sum() + reference[-1]
     assert total == pytest.approx(1.0, abs=1e-14)
 
     p_m = _scan_pass(model, grid, 512)
-    assert p_m.shape == (512 // 4 + 1,)
+    assert p_m.shape == (9,)
     error = float(np.max(np.abs(p_m - reference[: p_m.size])))
     assert error <= 1e-13 * float(np.max(p_m))
     if family == "gaussian":
         # P_m ~ (1/9)^m, so the terms beyond m = 128 are ~1e-122.
+        p_m = np.array([s.p_m for s in angular_fourier(model, grid, 128, 512)])
         assert p_m[0] + 2.0 * p_m[1:].sum() == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
 def test_scan_matches_the_reported_sector_table(family, t):
-    # The P_m that choose m_max are the P_m that angular_fourier reports.
+    # The scan's P_m are the reported ones, and m_max is the first rung
+    # of the schedule whose reported P_m reach the target.
     grid = build_radial_grid(60, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     sectors, n_theta = adaptive_sectors(model, grid, 1e-6, 512)
-    m_max = sectors[-1].m
-    reported = [s.p_m for s in angular_fourier(model, grid, m_max, n_theta)]
+    reported = [s.p_m for s in sectors]
     np.testing.assert_allclose(
-        _scan_pass(model, grid, n_theta)[: m_max + 1], reported, rtol=1e-13, atol=0.0
+        _scan_pass(model, grid, n_theta), reported[:9], rtol=1e-13, atol=0.0
     )
+    cumulative = np.cumsum([p if m == 0 else 2.0 * p for m, p in enumerate(reported)])
+    rungs = [m for m in (8, 16, 32, 64, 128) if m < len(reported)]
+    first = next(m for m in rungs if cumulative[m] >= 1.0 - 1e-6)
+    assert sectors[-1].m == first
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 1.7), ("sinc", 0.25)])

@@ -64,16 +64,9 @@ def test_runconfig_validation():
             RunConfig(mu_c=bad)
 
 
-def test_bad_settings_fail_before_any_fill(monkeypatch, gauss_model_grid):
+def test_bad_settings_fail_before_any_fill(fill_shapes, gauss_model_grid):
     model, _ = gauss_model_grid
-    fills = []
-    fill = biphoton._kernels.fill_amplitude_block
-
-    def counting_fill(*args):
-        fills.append(args[0].size)
-        return fill(*args)
-
-    monkeypatch.setattr(biphoton._kernels, "fill_amplitude_block", counting_fill)
+    fills = fill_shapes
     calls = [
         ("kmax_factor", lambda: decompose("gaussian", 1.5, kmax_factor=math.inf)),
         ("sector_tol", lambda: decompose("gaussian", 1.5, sector_tol=0.0)),
@@ -90,23 +83,28 @@ def test_bad_settings_fail_before_any_fill(monkeypatch, gauss_model_grid):
     assert fills
 
 
+def test_kept_sectors_do_not_hold_the_top_sized_array():
+    # The schedule stops at 64 below the top, 128; the kept kernels are
+    # views of one array of their own.
+    result = decompose("sinc", 0.5, grid_n=40)
+    assert result.m_max == 64
+    base = result.kernels[0].matrix.base
+    assert base.shape[0] == result.m_max + 1
+    for kernel in result.kernels:
+        assert kernel.matrix.flags.c_contiguous
+        assert np.shares_memory(kernel.matrix, base)
+
+
 @pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
-def test_decompose_is_independent_of_the_tile_height(monkeypatch, family, t):
+def test_decompose_is_independent_of_the_tile_height(monkeypatch, fill_shapes, family, t):
     n = 48
-    fills = []
-    fill = biphoton._kernels.fill_amplitude_block
-
-    def counting_fill(*args):
-        fills.append(args[0].shape[0])
-        return fill(*args)
-
-    monkeypatch.setattr(biphoton._kernels, "fill_amplitude_block", counting_fill)
+    fills = fill_shapes
     runs = {}
     for rows in (1, 3, 16, n):
         monkeypatch.setattr(biphoton._kernels, "tile_rows", lambda *_, rows=rows: rows)
         fills.clear()
         runs[rows] = decompose(family, t, grid_n=n)
-        assert max(fills) == rows
+        assert max(shape[0] for shape in fills) == rows
         assert len(fills) == 3 * -(-n // rows)
     reference = runs[n]
     labels = [entry[:2] for entry in reference.spectrum.entries]
