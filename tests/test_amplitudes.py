@@ -354,6 +354,19 @@ def test_unit_norm_integral_block_size_independent(monkeypatch):
         assert value == pytest.approx(reference, rel=1e-13)
 
 
+@pytest.mark.parametrize("n_theta", [15, 64])
+def test_unit_norm_integral_sums_every_azimuth(n_theta):
+    # The norm reads the distinct azimuth rows with mirror weights; an odd
+    # n_theta has no unpaired middle row.
+    model = AmplitudeModel.from_b_sigma("sinc", 0.5)
+    grid = build_radial_grid(12, 0.0, default_k_max(0.5))
+    full = np.empty((grid.count, n_theta, grid.count))
+    _kernels.fill_amplitude_block(full, model.family, grid.nodes, grid.nodes, 0.5)
+    wk = grid.weights * grid.nodes
+    expected = np.einsum("i,iuj,j->", wk, full * full, wk) * (2.0 * np.pi) ** 2 / n_theta
+    assert unit_norm_integral(model, grid, n_theta) == pytest.approx(expected, rel=1e-13)
+
+
 def test_normalize_rejects_vanishing_integral():
     model = AmplitudeModel.from_b_sigma("gaussian", 1.0)
     grid = build_radial_grid(10, 60.0, 70.0)  # far outside the support
