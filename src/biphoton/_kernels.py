@@ -24,17 +24,20 @@ The amplitude depends on the two azimuths only through cos(dtheta), so
 on the uniform azimuth grid row u of a radial row equals row
 n_theta - u. The fill evaluates the formula on the distinct rows
 0 .. n_theta // 2 and copies the rest as one mirrored block, which
-halves the sin/exp work; :func:`biphoton.grids.angular_grid` folds its
+halves the tan/exp work; :func:`biphoton.grids.angular_grid` folds its
 cosine table the same way, so every consumer sees an exactly even table.
 The consumers read only the distinct rows and weigh them by
 :func:`mirror_weights`.
 
 Magnitudes below 2^-900 are stored as zero. Where the pump envelope
 exp(-|k + q|^2) underflows, which is most of a narrow-sinc tensor,
-np.exp is ten to a hundred times slower per value than elsewhere, the
-costly np.sin of the sinc factor is wasted, and subnormal values slow
-the cosine projections over the tensor; the floor keeps the fill
-and its consumers on the fast paths.
+np.exp is ten to a hundred times slower per value than elsewhere, and
+subnormal values slow the cosine projections over the tensor; the
+floor keeps the fill and its consumers on the fast paths. The sinc
+factor costs the same on every entry: it comes from np.tan through the
+half-angle identity (on AVX-512 CPUs NumPy's float64 tan is a vector
+loop, its sin a scalar one), so it runs over the whole distinct
+half-row, and the flush zeroes what lies below the floor.
 """
 
 from __future__ import annotations
@@ -80,11 +83,11 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
     out : ndarray, optional
         Destination, shaped like xc; allocated when omitted.
     work : ndarray, optional
-        Workspace shaped like xc for the sinc ratio; allocated when
-        omitted and the family is GAUSSIAN_SINC.
+        Workspace shaped like xc for tan(h) and 1 + tan^2(h) of the sinc
+        factor; allocated when omitted and the family is GAUSSIAN_SINC.
     live : ndarray of bool, optional
-        Workspace shaped like xc for the floor masks; allocated when
-        omitted.
+        Workspace shaped like xc for the mask of values below the floor;
+        allocated when omitted.
     descending : bool, optional
         True when xc never increases along its first axis in any column,
         as in the fill's rows of 2 k q cos(dtheta_u), u = 0 .. n_theta // 2.
@@ -95,7 +98,11 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
     sinc(t^2 |k - q|^2), with sinc(0) = 1, and zero wherever that
     magnitude is below _FLOOR = 2^-900. The double-Gaussian product is
     a single exponential of -(1 + t^2) s - (1 - t^2) xc, three array
-    operations per value on a row that stays above the floor.
+    operations per value on a row that stays above the floor. The sinc
+    factor sin(x) / x is taken as tan(h) / ((1 + tan^2 h) h) with
+    h = x / 2, an exact identity: NumPy's float64 tan runs a vector
+    loop where the CPU has one (AVX-512), at a fifth to a tenth of the
+    cost of its scalar sin. It runs over every entry, with no mask.
     Everything is computed in out, xc, work and live because this is
     the inner loop of every grid integral, and fresh row-sized
     temporaries cost more in page faults than in arithmetic.
@@ -103,12 +110,10 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
     The floor keeps the arithmetic on fast paths. np.exp slows about
     tenfold where its result underflows to zero and about a
     hundredfold where it is subnormal, so exponents are clamped at
-    log(_FLOOR) - 1 first; the sinc factor's np.sin, the slowest step,
-    is taken only where the pump envelope reaches the floor; and
-    values below the floor, which give subnormal intermediates in the
-    cosine projections over the tensor (those of a sinc 0.25 run ran at
-    half speed), are flushed. Every value at or above the floor is
-    bitwise the unclamped, unmasked formula.
+    log(_FLOOR) - 1 first, and values below the floor, which give
+    subnormal intermediates in the cosine projections over the tensor
+    (those of a sinc 0.25 run ran at half speed), are flushed. Every
+    value at or above the floor is bitwise the unclamped formula.
     """
     if out is None:
         out = np.empty_like(xc)
@@ -126,27 +131,30 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
         return out
     if work is None:
         work = np.empty_like(xc)
-    np.add(s, xc, out=out)
-    np.negative(out, out=out)
-    # The envelope exponent -(s + xc) rises with u along each (row,
-    # column) as cos(dtheta_u) falls, so the live entries are one tail in
-    # u and the masked loops below run in long stretches. An exponent
-    # below log(_FLOOR) gives an envelope below _FLOOR, so a dead entry
-    # would be flushed anyway; it keeps exp(_LOG_CLAMP) = _FLOOR / e (or
-    # its own exp, just below _FLOOR) until the flush.
-    mask = np.greater_equal(out, _LOG_FLOOR, out=live)
+    # -s - xc is bitwise -(s + xc) up to the sign of a zero, in one pass.
+    np.subtract(np.negative(s), xc, out=out)
+    # An exponent below log(_FLOOR) gives an envelope below _FLOOR, so
+    # no entry needs a mask: a dead one keeps exp(_LOG_CLAMP) = _FLOOR / e
+    # (or its own exp, just below _FLOOR), the factor raises no magnitude
+    # beyond round-off, and the flush below zeroes what stays under
+    # _FLOOR.
     np.maximum(out, _LOG_CLAMP, out=out)
     np.exp(out, out=out)
-    arg = np.subtract(s, xc, out=xc)
-    arg *= t2
-    # |k - q|^2 >= 0, and sin(x) == x in floating point for |x| below
-    # ~1e-8, so clamping at the smallest normal double gives
-    # sin(x) / x == 1 exactly at the removable singularity, and at any
-    # rounding-negative argument, without a mask.
-    np.maximum(arg, _TINY, out=arg)
-    np.sin(arg, out=work, where=mask)
-    np.divide(work, arg, out=work, where=mask)
-    np.multiply(out, work, out=out, where=mask)
+    # sin(x) / x = tan(h) / ((1 + tan^2 h) h) with h = x / 2, since
+    # sin(x) = 2 tan(h) / (1 + tan^2 h). |k - q|^2 >= 0, and tan(h) == h
+    # in floating point for h below ~1e-8, so clamping h at the smallest
+    # normal double gives a factor of exactly 1 at the removable
+    # singularity, and at any rounding-negative argument. No double lies
+    # on a pole of tan, and |tan| stays far below sqrt(max double) there.
+    half = np.subtract(s, xc, out=xc)
+    half *= 0.5 * t2
+    np.maximum(half, _TINY, out=half)
+    np.tan(half, out=work)
+    np.divide(work, half, out=half)
+    np.square(work, out=work)
+    work += 1.0
+    half /= work
+    out *= half
     # A small sinc factor can take a live envelope below the floor too,
     # so the sinc family flushes every row.
     np.less(np.abs(out, out=xc), _FLOOR, out=live)

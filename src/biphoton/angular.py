@@ -22,7 +22,7 @@ triangle from the upper one, which makes every kernel exactly symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,15 +172,23 @@ def angular_fourier(
     gcoef = _coefficient_pass(model, grid, n_theta, m_max)
     sqwk = np.sqrt(grid.weights * grid.nodes)
     gcoef *= _TWO_PI * np.outer(sqwk, sqwk)
-    sectors = []
-    for m, matrix in enumerate(gcoef):
-        p_m = float(np.sum(matrix * matrix))
-        if p_m > 0.0:
-            matrix /= np.sqrt(p_m)
-        sectors.append(SectorKernel(m=m, p_m=p_m, matrix=matrix, grid=grid))
+    p_m = []
+    for matrix in gcoef:
+        p_m.append(float(np.sum(matrix * matrix)))
+        if p_m[-1] > 0.0:
+            matrix /= np.sqrt(p_m[-1])
+    sectors = _sector_views(gcoef, p_m, grid)
     if sector_tol is not None and sector_coverage(sectors) < 1.0 - sector_tol:
         raise ValueError("m_max too small")
     return sectors
+
+
+def _sector_views(gcoef, p_m, grid):
+    """One SectorKernel per leading row gcoef[m], a view of gcoef."""
+    return [
+        SectorKernel(m=m, p_m=p, matrix=matrix, grid=grid)
+        for m, (p, matrix) in enumerate(zip(p_m, gcoef))
+    ]
 
 
 def sector_coverage(sectors: list[SectorKernel]) -> float:
@@ -207,11 +215,13 @@ def adaptive_sectors(
     sums P_m for m <= 8 only; when they reach the target, the coefficient
     pass projects those nine sectors. Otherwise one coefficient pass
     projects every m <= n_theta / 4 (128 at n_theta = 512), and the
-    schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m; the
-    sectors up to the m_max it stops at are copied into an array of
-    their own, so the result does not hold the larger one. If n_theta / 4
-    cannot reach the target, n_theta is doubled (at most twice) and only
-    the coefficient pass is repeated before giving up.
+    schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m. When it
+    stops below the top, that pass's array is shrunk in place to the
+    sectors up to the m_max it stops at, and only then are their kernels
+    built, so the run never holds a second copy and the result does not
+    hold the top-sized array. If n_theta / 4 cannot reach the target,
+    n_theta is doubled (at most twice) and only the coefficient pass is
+    repeated before giving up.
 
     Returns the sector list and the n_theta it was computed with.
     """
@@ -224,14 +234,19 @@ def adaptive_sectors(
     for _ in range(3):
         top = n_theta // 4
         sectors = angular_fourier(model, grid, top, n_theta)
-        cumulative = _cumulative([sector.p_m for sector in sectors])
+        p_m = [sector.p_m for sector in sectors]
+        cumulative = _cumulative(p_m)
         m_max = 2 * _FIRST_RUNG
         while m_max < top and cumulative[m_max] < target:
             m_max *= 2
         if cumulative[m_max] >= target:
             if m_max < top:
-                kept = np.array([sector.matrix for sector in sectors[: m_max + 1]])
-                sectors = [replace(sector, matrix=g) for sector, g in zip(sectors, kept)]
+                gcoef = sectors[0].matrix.base
+                del sectors
+                # With no view left, the one array shrinks in place: the
+                # reallocation keeps the leading sectors and frees the tail.
+                gcoef.resize((m_max + 1,) + gcoef.shape[1:])
+                sectors = _sector_views(gcoef, p_m, grid)
             return sectors, n_theta
         # Released before the doubled pass allocates its larger array.
         del sectors

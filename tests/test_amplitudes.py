@@ -6,6 +6,7 @@ import pytest
 from biphoton import (
     AmplitudeFamily,
     AmplitudeModel,
+    RunConfig,
     TransverseVector,
     analytic_norm_constant,
     angular_grid,
@@ -192,16 +193,18 @@ def _plain_half(family, k_rows, k, t, n_theta):
         exponent = xc * (t2 - 1.0)
         exponent -= (1.0 + t2) * s
         return np.exp(exponent)
-    arg = np.maximum((s - xc) * t2, np.finfo(float).tiny)
-    return np.exp(-(s + xc)) * (np.sin(arg) / arg)
+    # sin(x) / x through tan(h) with h = x / 2, as the fill takes it.
+    half = np.maximum((s - xc) * (0.5 * t2), np.finfo(float).tiny)
+    tan = np.tan(half)
+    return np.exp(-(s + xc)) * (tan / half / (1.0 + tan * tan))
 
 
 @pytest.mark.parametrize(
     "family, t", [("sinc", 0.25), ("sinc", 0.5), ("gaussian", 2.5), ("gaussian", 0.5)]
 )
 def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
-    # The clamp, the sin mask and the gaussian row shortcut change no
-    # value at or above the floor and leave no nonzero value below it.
+    # The clamp and the gaussian row shortcut change no value at or
+    # above the floor and leave no nonzero value below it.
     # Both gaussian cases have rows that never reach the floor, which
     # skip the clamp and the flush.
     family = AmplitudeFamily(family)
@@ -216,6 +219,71 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     assert np.array_equal(out[:, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
     magnitude = np.abs(out)
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
+
+
+def _sinc_fill_grids():
+    """(t, grid) pairs of the sinc accuracy and exception tests: default
+    grids at both ends of b_sigma and a filtered grid that starts at the
+    cutoff."""
+    grids = [(t, RunConfig(family="sinc", b_sigma=t).radial_grid()) for t in (0.2, 1.0, 5.0, 20.0)]
+    return grids + [(0.4, RunConfig(family="sinc", b_sigma=0.4, mu_c=2.0).radial_grid())]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_sinc_fill_matches_the_sine_formula(case):
+    # The fill takes sin(x) / x through tan(x / 2); every value stays
+    # within 4 eps of the envelope of exp(-|k + q|^2) sin(x) / x taken
+    # through np.sin, and a flushed one was below the floor.
+    t, grid = _sinc_fill_grids()[case]
+    k_rows = grid.nodes[::7]
+    n_theta = 512
+    out = np.empty((k_rows.size, n_theta, grid.count))
+    _kernels.fill_amplitude_block(out, AmplitudeFamily.GAUSSIAN_SINC, k_rows, grid.nodes, t)
+    _, cos_dtheta = angular_grid(n_theta)
+    s = (k_rows[:, None] * k_rows[:, None] + grid.nodes * grid.nodes)[:, None, :]
+    xc = (2.0 * k_rows[:, None] * grid.nodes)[:, None, :] * cos_dtheta[:, None]
+    envelope = np.exp(-(s + xc))
+    arg = np.maximum((s - xc) * (t * t), np.finfo(float).tiny)
+    expected = envelope * (np.sin(arg) / arg)
+    eps = np.finfo(float).eps
+    stored = out != 0.0
+    assert np.count_nonzero(stored) > out.size // 4
+    assert np.all(np.abs(out - expected)[stored] <= 4.0 * eps * envelope[stored])
+    assert np.all(np.abs(expected[~stored]) < _kernels._FLOOR * (1.0 + 4.0 * eps))
+
+
+@pytest.mark.parametrize("t", [0.2, 1.0, 20.0])
+def test_sinc_factor_at_zero_and_at_multiples_of_pi(t):
+    # On the diagonal k = q at dtheta = 0 the factor is exactly 1; where
+    # t^2 |k - q|^2 is the double nearest n pi, sin nearly vanishes and
+    # tan(x / 2) sits at a zero (n even) or next to a pole (n odd).
+    eps = np.finfo(float).eps
+    k = np.linspace(0.0, 3.0, 31)
+    s = 2.0 * k * k
+    value = _kernels.amplitude(AmplitudeFamily.GAUSSIAN_SINC, s, s.copy(), t)
+    assert np.array_equal(value, np.exp(-2.0 * s))
+    n = np.arange(1.0, 400.0)
+    minus = n * np.pi / (t * t)
+    plus = np.full_like(minus, 1.0)
+    value = _kernels.amplitude(
+        AmplitudeFamily.GAUSSIAN_SINC, 0.5 * (plus + minus), 0.5 * (plus - minus), t
+    )
+    arg = (0.5 * (plus + minus) - 0.5 * (plus - minus)) * (t * t)
+    expected = np.exp(-plus) * (np.sin(arg) / arg)
+    assert np.all(np.isfinite(value))
+    assert np.all(np.abs(value - expected) <= 4.0 * eps * np.exp(-plus))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_sinc_fill_raises_no_floating_point_exception(case):
+    # The factor runs unmasked over every entry, through the poles of
+    # tan(x / 2) included; an overflow, a NaN or a division by zero there
+    # must not pass silently. Underflow is left out: a dead entry may go
+    # subnormal before the flush zeroes it.
+    t, grid = _sinc_fill_grids()[case]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for _, _, block in _kernels.row_blocks(AmplitudeFamily.GAUSSIAN_SINC, t, grid, 512):
+            assert np.all(np.isfinite(block))
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.8, 2.5])

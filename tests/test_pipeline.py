@@ -2,6 +2,7 @@ import inspect
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,31 @@ def test_kept_sectors_do_not_hold_the_top_sized_array():
     for kernel in result.kernels:
         assert kernel.matrix.flags.c_contiguous
         assert np.shares_memory(kernel.matrix, base)
+
+
+def test_stopping_below_the_top_holds_no_second_coefficient_array():
+    # At grid_n 120 the sinc 0.5 schedule stops at 64 of 128. The top
+    # array is 15 MB; a right-sized copy of its leading 65 sectors would
+    # add 7.5 MB at once. The sweep itself adds one tile (at most
+    # _TILE_BYTES), its projection buffer and the fill workspaces, each
+    # smaller than a tile, so the peak stays below two tiles past the
+    # top array. The kept sectors are bitwise the top pass's leading ones.
+    grid = RunConfig(family="sinc", b_sigma=0.5, grid_n=120).radial_grid()
+    model = biphoton.normalize(biphoton.AmplitudeModel.from_b_sigma("sinc", 0.5), grid, 512)
+    top = 129 * grid.count * grid.count * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sectors, n_theta = biphoton.adaptive_sectors(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(sectors), n_theta) == (65, 512)
+    assert peak - before < top + 2 * biphoton._kernels._TILE_BYTES
+    reference = biphoton.angular_fourier(model, grid, 128, 512)
+    for kept, full in zip(sectors, reference):
+        assert kept.p_m == full.p_m
+        assert np.array_equal(kept.matrix, full.matrix)
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
