@@ -216,12 +216,12 @@ def adaptive_sectors(
     pass projects those nine sectors. Otherwise one coefficient pass
     projects every m <= n_theta / 4 (128 at n_theta = 512), and the
     schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m. When it
-    stops below the top, that pass's array is shrunk in place to the
-    sectors up to the m_max it stops at, and only then are their kernels
-    built, so the run never holds a second copy and the result does not
-    hold the top-sized array. If n_theta / 4 cannot reach the target,
-    n_theta is doubled (at most twice) and only the coefficient pass is
-    repeated before giving up.
+    stops below the top, the pass's sector views are dropped, its one
+    array is shrunk in place to the sectors up to the m_max it stops at,
+    and the kept sectors are views of that, so the run never holds a
+    second copy and the result does not hold the top-sized array. If
+    n_theta / 4 cannot reach the target, n_theta is doubled (at most
+    twice) and only the coefficient pass is repeated before giving up.
 
     Returns the sector list and the n_theta it was computed with.
     """
