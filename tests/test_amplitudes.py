@@ -221,20 +221,17 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
 
 
-def _sinc_fill_grids():
-    """(t, grid) pairs of the sinc accuracy and exception tests: default
-    grids at both ends of b_sigma and a filtered grid that starts at the
-    cutoff."""
-    grids = [(t, RunConfig(family="sinc", b_sigma=t).radial_grid()) for t in (0.2, 1.0, 5.0, 20.0)]
-    return grids + [(0.4, RunConfig(family="sinc", b_sigma=0.4, mu_c=2.0).radial_grid())]
+_SINC_GRIDS = [(0.2, 0.0), (1.0, 0.0), (5.0, 0.0), (20.0, 0.0), (0.4, 2.0)]
+"""(b_sigma, mu_c) of the sinc accuracy and exception tests: default grids
+at both ends of b_sigma and a filtered grid that starts at the cutoff."""
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_sinc_fill_matches_the_sine_formula(case):
+@pytest.mark.parametrize("t, mu_c", _SINC_GRIDS)
+def test_sinc_fill_matches_the_sine_formula(t, mu_c):
     # The fill takes sin(x) / x through tan(x / 2); every value stays
     # within 4 eps of the envelope of exp(-|k + q|^2) sin(x) / x taken
     # through np.sin, and a flushed one was below the floor.
-    t, grid = _sinc_fill_grids()[case]
+    grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
     k_rows = grid.nodes[::7]
     n_theta = 512
     out = np.empty((k_rows.size, n_theta, grid.count))
@@ -274,13 +271,13 @@ def test_sinc_factor_at_zero_and_at_multiples_of_pi(t):
     assert np.all(np.abs(value - expected) <= 4.0 * eps * np.exp(-plus))
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_sinc_fill_raises_no_floating_point_exception(case):
+@pytest.mark.parametrize("t, mu_c", _SINC_GRIDS)
+def test_sinc_fill_raises_no_floating_point_exception(t, mu_c):
     # The factor runs unmasked over every entry, through the poles of
     # tan(x / 2) included; an overflow, a NaN or a division by zero there
     # must not pass silently. Underflow is left out: a dead entry may go
     # subnormal before the flush zeroes it.
-    t, grid = _sinc_fill_grids()[case]
+    grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for _, _, block in _kernels.row_blocks(AmplitudeFamily.GAUSSIAN_SINC, t, grid, 512):
             assert np.all(np.isfinite(block))
