@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import AmplitudeFamily
-from .grids import RadialGrid
+from .grids import N_THETA, RadialGrid
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -174,7 +174,7 @@ def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) ->
     return total * (2.0 * np.pi) * (2.0 * np.pi / n_theta)
 
 
-def normalize(model: AmplitudeModel, grid: RadialGrid, n_theta: int = 512) -> AmplitudeModel:
+def normalize(model: AmplitudeModel, grid: RadialGrid, n_theta: int = N_THETA) -> AmplitudeModel:
     """Return a copy of the model with norm_constant set.
 
     The constant is recomputed from scratch on every call, so normalizing

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized
-from .grids import RadialGrid, angular_grid
+from .grids import N_THETA, RadialGrid, angular_grid
 
 __all__ = [
     "SectorKernel",
@@ -41,6 +41,25 @@ _TWO_PI = 2.0 * np.pi
 
 _FIRST_RUNG = 8
 """Smallest m_max of the adaptive_sectors schedule; the scan reads m up to it."""
+
+SECTOR_TOL = 1e-6
+"""Default probability a run may leave outside its kept sectors."""
+
+
+def _check_angular(n_theta, m_max=None, sector_tol=None):
+    """The rules on the angular run settings; m_max and sector_tol when given.
+
+    RunConfig and the two entry points below raise them alike. The
+    doubling schedule needs a power-of-two n_theta whose first top,
+    n_theta / 4, lies past the first rung, and the azimuth grid resolves
+    a sector m only below n_theta / 2.
+    """
+    if n_theta < 64 or n_theta & (n_theta - 1):
+        raise ValueError("n_theta must be a power of two, at least 64")
+    if m_max is not None and not 0 <= m_max < n_theta // 2:
+        raise ValueError("m_max must satisfy 0 <= m_max < n_theta / 2")
+    if sector_tol is not None and not 0.0 < sector_tol < 1.0:
+        raise ValueError("sector_tol must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -143,7 +162,7 @@ def angular_fourier(
     model: AmplitudeModel,
     grid: RadialGrid,
     m_max: int,
-    n_theta: int = 512,
+    n_theta: int = N_THETA,
     sector_tol: float | None = None,
 ) -> list[SectorKernel]:
     """Sector probabilities and kernels for m = 0 .. m_max.
@@ -165,10 +184,7 @@ def angular_fourier(
     instead.
     """
     _require_normalized(model)
-    if n_theta < 64 or n_theta & (n_theta - 1):
-        raise ValueError("n_theta must be a power of two, at least 64")
-    if not 0 <= m_max < n_theta // 2:
-        raise ValueError("m_max must satisfy 0 <= m_max < n_theta / 2")
+    _check_angular(n_theta, m_max, sector_tol)
     gcoef = _coefficient_pass(model, grid, n_theta, m_max)
     sqwk = np.sqrt(grid.weights * grid.nodes)
     gcoef *= _TWO_PI * np.outer(sqwk, sqwk)
@@ -206,8 +222,8 @@ def _cumulative(p_m) -> np.ndarray:
 def adaptive_sectors(
     model: AmplitudeModel,
     grid: RadialGrid,
-    sector_tol: float = 1e-6,
-    n_theta: int = 512,
+    sector_tol: float = SECTOR_TOL,
+    n_theta: int = N_THETA,
 ) -> tuple[list[SectorKernel], int]:
     """Grow m_max until the captured probability reaches 1 - sector_tol.
 
@@ -218,16 +234,18 @@ def adaptive_sectors(
     schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m. When it
     stops below the top, the pass's sector views are dropped, its one
     array is shrunk in place to the sectors up to the m_max it stops at,
-    and the kept sectors are views of that, so the run never holds a
-    second copy and the result does not hold the top-sized array. If
-    n_theta / 4 cannot reach the target, n_theta is doubled (at most
-    twice) and only the coefficient pass is repeated before giving up.
+    and the kept sectors are views of that, so the run holds no second
+    copy and the result does not hold the top-sized array. Only under a
+    profiler or tracer, whose extra reference forbids the shrink, are the
+    kept sectors copied out instead, so that such a run briefly holds
+    both. If n_theta / 4 cannot reach the target, n_theta is doubled (at
+    most twice) and only the coefficient pass is repeated before giving
+    up.
 
     Returns the sector list and the n_theta it was computed with.
     """
     _require_normalized(model)
-    if not 0.0 < sector_tol < 1.0:
-        raise ValueError("sector_tol must be in (0, 1)")
+    _check_angular(n_theta, sector_tol=sector_tol)
     target = 1.0 - sector_tol
     if _cumulative(_scan_pass(model, grid, n_theta))[-1] >= target:
         return angular_fourier(model, grid, _FIRST_RUNG, n_theta), n_theta
@@ -245,7 +263,12 @@ def adaptive_sectors(
                 del sectors
                 # With no view left, the one array shrinks in place: the
                 # reallocation keeps the leading sectors and frees the tail.
-                gcoef.resize((m_max + 1,) + gcoef.shape[1:])
+                # A profiler or tracer holds one more reference, which
+                # resize refuses; the leading sectors are copied out then.
+                try:
+                    gcoef.resize((m_max + 1,) + gcoef.shape[1:])
+                except ValueError:
+                    gcoef = gcoef[: m_max + 1].copy()
                 sectors = _sector_views(gcoef, p_m, grid)
             return sectors, n_theta
         # Released before the doubled pass allocates its larger array.

@@ -16,14 +16,22 @@ import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .amplitudes import AmplitudeModel, crystal_b, normalize
 from .filtering import apply_filter, slice_intensity
 from .gaussian import analytic_K, analytic_spectrum, xi_of
-from .pipeline import RunConfig, SweepRange, _check_type, decompose
+from .pipeline import (
+    FAMILIES,
+    RUN_SETTINGS,
+    RunConfig,
+    SweepRange,
+    _check_type,
+    decompose,
+)
 from .schmidt import radial_node_count
 
 __all__ = ["main"]
@@ -35,21 +43,6 @@ SLICE_K_MAX = 4.0
 SLICE_K_COUNT = 201
 """Radial grid of the slice command; chosen so k = 2 lands on a node."""
 
-_RUN_KEYS = {
-    "family": "family",
-    "bsigma": "b_sigma",
-    "bsigma_range": "sweep",
-    "grid_n": "grid_n",
-    "kmax_factor": "kmax_factor",
-    "ntheta": "n_theta",
-    "sector_tol": "sector_tol",
-    "m_max": "m_max",
-    "mu_c": "mu_c",
-}
-"""Config keys of the run settings and the RunConfig fields they set.
-
-RunConfig holds their defaults and checks them."""
-
 _OPTIONS: dict = {
     "format": None,
     "out": None,
@@ -58,9 +51,12 @@ _OPTIONS: dict = {
 }
 """Execution-only config keys and their defaults."""
 
+_KEYS = (*(setting.key for setting in RUN_SETTINGS), *_OPTIONS)
+"""Every config key: those of the run settings, which RunConfig defaults
+and checks, then the execution options."""
 
-class _ConfigError(ValueError):
-    """Configuration problem; reported with exit code 2."""
+_PLAIN = {str: str, numbers.Real: float, numbers.Integral: int}
+"""Flag type of a run-setting kind, which also turns its value into plain JSON."""
 
 
 def _fmt(value) -> str:
@@ -89,45 +85,23 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _resolve_pair(out: str | None, fmt: str, base_default: str) -> tuple[str, str]:
-    """CSV and JSON paths for commands that always write both.
-
-    The requested format owns the given path; the sibling file swaps the
-    extension on the same base name.
-    """
-    if out is None:
-        out = f"{base_default}.{fmt}"
-    base, _ = os.path.splitext(out)
-    csv_path = out if fmt == "csv" else f"{base}.csv"
-    json_path = out if fmt == "json" else f"{base}.json"
-    return csv_path, json_path
-
-
 def _config_echo(cfg: RunConfig) -> dict:
     """Physics and grid parameters that determine the output numbers.
 
-    Execution-only knobs (threads, output path, format) are excluded so
-    equivalent runs carry identical metadata.
+    One entry per RunConfig field, as plain JSON values; a sweep range
+    stands in b_sigma's place. Execution-only knobs (threads, output
+    path, format) are excluded so equivalent runs carry identical
+    metadata.
     """
-    if cfg.sweep is not None:
-        b: object = {
-            "start": float(cfg.sweep.start),
-            "stop": float(cfg.sweep.stop),
-            "count": int(cfg.sweep.count),
-            "log": bool(cfg.sweep.log),
-        }
-    else:
-        b = None if cfg.b_sigma is None else float(cfg.b_sigma)
-    return {
-        "family": cfg.family,
-        "b_sigma": b,
-        "grid_n": int(cfg.grid_n),
-        "kmax_factor": float(cfg.kmax_factor),
-        "n_theta": int(cfg.n_theta),
-        "sector_tol": float(cfg.sector_tol),
-        "m_max": None if cfg.m_max is None else int(cfg.m_max),
-        "mu_c": float(cfg.mu_c),
-    }
+    echo: dict = {}
+    for setting in RUN_SETTINGS:
+        value = getattr(cfg, setting.field)
+        if setting.kind is SweepRange:
+            if value is not None:
+                echo["b_sigma"] = asdict(value)
+        else:
+            echo[setting.field] = None if value is None else _PLAIN[setting.kind](value)
+    return echo
 
 
 def _metadata(echo: dict) -> list[tuple[str, object]]:
@@ -157,15 +131,15 @@ def _summary_payload(echo: dict, spectrum) -> dict:
 def _parse_range(text: str) -> SweepRange:
     parts = text.split(":")
     if len(parts) not in (3, 4):
-        raise _ConfigError("range must be start:stop:count[:log|linear]")
+        raise ValueError("range must be start:stop:count[:log|linear]")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _ConfigError("range must be start:stop:count[:log|linear]") from exc
+        raise ValueError("range must be start:stop:count[:log|linear]") from exc
     log = False
     if len(parts) == 4:
         if parts[3] not in {"log", "linear"}:
-            raise _ConfigError("range scale must be 'log' or 'linear'")
+            raise ValueError("range scale must be 'log' or 'linear'")
         log = parts[3] == "log"
     return SweepRange(start, stop, count, log=log)
 
@@ -176,7 +150,7 @@ def _as_range(value) -> SweepRange:
     if isinstance(value, dict):
         missing = {"start", "stop", "count"} - set(value)
         if missing:
-            raise _ConfigError("range object needs start, stop, count")
+            raise ValueError("range object needs start, stop, count")
         log = value.get("log", False)
         _check_type("bsigma_range.start", value["start"])
         _check_type("bsigma_range.stop", value["stop"])
@@ -185,7 +159,7 @@ def _as_range(value) -> SweepRange:
         return SweepRange(
             float(value["start"]), float(value["stop"]), value["count"], log=log
         )
-    raise _ConfigError("unrecognized sweep range specification")
+    raise ValueError("unrecognized sweep range specification")
 
 
 def _parse_mode(text: str) -> tuple[int, int]:
@@ -195,9 +169,9 @@ def _parse_mode(text: str) -> tuple[int, int]:
             raise ValueError
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise _ConfigError(f"mode spec {text!r} is not of the form n,m") from None
+        raise ValueError(f"mode spec {text!r} is not of the form n,m") from None
     if n < 0:
-        raise _ConfigError("mode index n must be nonnegative")
+        raise ValueError("mode index n must be nonnegative")
     return n, m
 
 
@@ -208,22 +182,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except OSError as exc:
-            raise _ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise _ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise _ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_RUN_KEYS) - set(_OPTIONS))
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(_KEYS))
         if unknown:
-            raise _ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         merged.update(file_cfg)
-    for key in (*_RUN_KEYS, *_OPTIONS):
+    for key in _KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     if args.physical:
         if merged.get("bsigma") is not None:
-            raise _ConfigError("--physical and --bsigma are mutually exclusive")
+            raise ValueError("--physical and --bsigma are mutually exclusive")
         missing = [
             flag
             for flag, val in (
@@ -234,9 +208,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if val is None
         ]
         if missing:
-            raise _ConfigError(f"--physical requires {', '.join(missing)}")
+            raise ValueError(f"--physical requires {', '.join(missing)}")
         if args.pump_waist <= 0:
-            raise _ConfigError("--pump-waist must be positive")
+            raise ValueError("--pump-waist must be positive")
         # sigma_perp = 2 / waist for a Gaussian pump written over intensity
         # radius; b comes from the crystal length and pump frequency.
         merged["bsigma"] = crystal_b(args.length, args.pump_omega) * (
@@ -246,31 +220,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _build_runconfig(merged: dict) -> RunConfig:
-    fields = {name: merged[key] for key, name in _RUN_KEYS.items() if key in merged}
+    fields = {s.field: merged[s.key] for s in RUN_SETTINGS if s.key in merged}
     if fields.get("sweep") is not None:
         fields["sweep"] = _as_range(fields["sweep"])
     return RunConfig(**fields)
 
 
-def _require_single_family(cfg: RunConfig, command: str) -> None:
-    if cfg.family == "both":
-        raise _ConfigError(f"family must be 'gaussian' or 'sinc' for {command}")
-
-
-def _require_b_sigma(cfg: RunConfig) -> float:
-    if cfg.b_sigma is None:
-        raise _ConfigError("a control parameter is required (--bsigma or --physical)")
-    return cfg.b_sigma
-
-
 def _cmd_decompose(cfg: RunConfig, opts: dict) -> int:
-    _require_single_family(cfg, "decompose")
-    t = _require_b_sigma(cfg)
-    fmt = opts["format"] or "csv"
-    result = decompose(cfg.family, t, **cfg.settings())
+    result = decompose(cfg.family, cfg.b_sigma, **cfg.settings())
     spectrum = result.spectrum
     echo = _config_echo(cfg)
-    csv_path, json_path = _resolve_pair(opts["out"], fmt, "decompose")
+    csv_path, json_path = opts["paths"]["csv"], opts["paths"]["json"]
     _write_csv(csv_path, _metadata(echo), ["n", "m", "lambda"], spectrum.entries)
     _write_json(json_path, _summary_payload(echo, spectrum))
     print(
@@ -283,10 +243,6 @@ def _cmd_decompose(cfg: RunConfig, opts: dict) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, opts: dict) -> int:
-    if cfg.sweep is None:
-        raise _ConfigError("--bsigma-range is required for sweep")
-    if opts["format"] == "json":
-        raise _ConfigError("sweep output is CSV only")
     families = ["gaussian", "sinc"] if cfg.family == "both" else [cfg.family]
     numerical_gaussian = opts["numerical_gaussian"]
     points = cfg.sweep.points()
@@ -319,24 +275,19 @@ def _cmd_sweep(cfg: RunConfig, opts: dict) -> int:
         if error:
             failures += 1
         table.append([t, *[row.get(column, "") for column in columns], error])
-    out = opts["out"] or "sweep.csv"
+    out = opts["paths"]["csv"]
     _write_csv(out, meta, ["b_sigma", *columns, "error"], table)
     print(f"wrote {out} ({len(points)} points, {failures} failed)")
     return 1 if failures else 0
 
 
 def _cmd_modes(cfg: RunConfig, opts: dict) -> int:
-    _require_single_family(cfg, "modes")
-    t = _require_b_sigma(cfg)
-    if opts["format"] == "json":
-        raise _ConfigError("modes output is CSV only")
-    requests = [_parse_mode(text) for text in opts["modes"]]
-    result = decompose(cfg.family, t, **cfg.settings())
+    result = decompose(cfg.family, cfg.b_sigma, **cfg.settings())
     sectors = result.sector_spectra
     meta = _metadata(_config_echo(cfg))
     columns: list[tuple[str, np.ndarray]] = []
     failures = 0
-    for n, m in requests:
+    for n, m in opts["modes"]:
         label = f"phi_n{n}_m{m}"
         sector = sectors[abs(m)] if abs(m) < len(sectors) else None
         if sector is None or n >= len(sector.modes):
@@ -350,18 +301,14 @@ def _cmd_modes(cfg: RunConfig, opts: dict) -> int:
         [k, *[values[i] for _, values in columns]]
         for i, k in enumerate(result.grid.nodes)
     )
-    out = opts["out"] or "modes.csv"
+    out = opts["paths"]["csv"]
     _write_csv(out, meta, ["k", *[label for label, _ in columns]], rows)
     print(f"wrote {out} ({len(columns)} modes, {failures} beyond truncation)")
     return 1 if failures else 0
 
 
 def _cmd_slice(cfg: RunConfig, opts: dict) -> int:
-    _require_single_family(cfg, "slice")
-    t = _require_b_sigma(cfg)
-    if opts["format"] == "json":
-        raise _ConfigError("slice output is CSV only")
-    model = AmplitudeModel.from_b_sigma(cfg.family, t, cutoff=cfg.mu_c)
+    model = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma, cutoff=cfg.mu_c)
     k = np.linspace(0.0, SLICE_K_MAX, SLICE_K_COUNT)
     dtheta, intensity = slice_intensity(model, k, n_theta=cfg.n_theta)
     rows = (
@@ -369,18 +316,16 @@ def _cmd_slice(cfg: RunConfig, opts: dict) -> int:
         for i in range(k.size)
         for j in range(dtheta.size)
     )
-    out = opts["out"] or "slice.csv"
+    out = opts["paths"]["csv"]
     _write_csv(out, _metadata(_config_echo(cfg)), ["k", "dtheta", "intensity"], rows)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_filter(cfg: RunConfig, opts: dict) -> int:
-    _require_single_family(cfg, "filter")
-    t = _require_b_sigma(cfg)
-    fmt = opts["format"] or "json"
     grid = replace(cfg, mu_c=0.0).radial_grid()
-    model = normalize(AmplitudeModel.from_b_sigma(cfg.family, t), grid, cfg.n_theta)
+    amplitude = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma)
+    model = normalize(amplitude, grid, cfg.n_theta)
     report = apply_filter(model, **cfg.settings())
     echo = _config_echo(cfg)
     payload = {
@@ -390,7 +335,7 @@ def _cmd_filter(cfg: RunConfig, opts: dict) -> int:
         "k_filtered": float(report.k_filtered),
         "k_original": float(report.k_original),
     }
-    csv_path, json_path = _resolve_pair(opts["out"], fmt, "filter")
+    csv_path, json_path = opts["paths"]["csv"], opts["paths"]["json"]
     _write_json(json_path, payload)
     _write_csv(
         csv_path,
@@ -408,9 +353,7 @@ def _cmd_filter(cfg: RunConfig, opts: dict) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, opts: dict) -> int:
-    t = float(_require_b_sigma(cfg))
-    if opts["format"] == "csv":
-        raise _ConfigError("oracle output is JSON only")
+    t = float(cfg.b_sigma)
     entries, _ = analytic_spectrum(t)
     payload = {
         "config": {"family": "gaussian", "b_sigma": t},
@@ -418,58 +361,54 @@ def _cmd_oracle(cfg: RunConfig, opts: dict) -> int:
         "xi": float(xi_of(t)),
         "top_modes": [[n, m, float(lam)] for n, m, lam in entries[:TOP_MODES]],
     }
-    out = opts["out"] or "oracle.json"
+    out = opts["paths"]["json"]
     _write_json(out, payload)
     print(f"K = {payload['K_analytic']:.6f} (xi = {payload['xi']:.6f})")
     print(f"wrote {out}")
     return 0
 
 
+class _Command(NamedTuple):
+    """What a command needs before it runs."""
+
+    run: Callable[[RunConfig, dict], int]
+    formats: tuple[str, ...]
+    """The formats it writes, one file each; the first is the default."""
+    single_family: bool
+    control: str
+    """The RunConfig field it reads the control parameter from."""
+
+
 _COMMANDS = {
-    "decompose": _cmd_decompose,
-    "sweep": _cmd_sweep,
-    "modes": _cmd_modes,
-    "slice": _cmd_slice,
-    "filter": _cmd_filter,
-    "oracle": _cmd_oracle,
+    "decompose": _Command(_cmd_decompose, ("csv", "json"), True, "b_sigma"),
+    "sweep": _Command(_cmd_sweep, ("csv",), False, "sweep"),
+    "modes": _Command(_cmd_modes, ("csv",), True, "b_sigma"),
+    "slice": _Command(_cmd_slice, ("csv",), True, "b_sigma"),
+    "filter": _Command(_cmd_filter, ("json", "csv"), True, "b_sigma"),
+    "oracle": _Command(_cmd_oracle, ("json",), False, "b_sigma"),
 }
+
+_MISSING_CONTROL = {
+    "b_sigma": "a control parameter is required (--bsigma or --physical)",
+    "sweep": "--bsigma-range is required for sweep",
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, settings) -> None:
+    """One flag per run setting, named after its config key."""
+    for setting in settings:
+        parser.add_argument(
+            f"--{setting.key.replace('_', '-')}",
+            dest=setting.key,
+            type=_PLAIN.get(setting.kind),
+            choices=FAMILIES if setting.field == "family" else None,
+            help=setting.help,
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--family",
-        choices=["gaussian", "sinc", "both"],
-        help="amplitude family ('both' is valid for sweep only)",
-    )
-    common.add_argument("--bsigma", type=float, help="control parameter b*sigma_perp")
-    common.add_argument(
-        "--grid-n", type=int, dest="grid_n", help="radial quadrature order"
-    )
-    common.add_argument(
-        "--kmax-factor",
-        type=float,
-        dest="kmax_factor",
-        help="radial truncation k_max = factor * max(1, 1/bsigma)",
-    )
-    common.add_argument(
-        "--ntheta", type=int, help="azimuthal samples, a power of two >= 64"
-    )
-    common.add_argument(
-        "--sector-tol",
-        type=float,
-        dest="sector_tol",
-        help="allowed probability outside the kept angular sectors",
-    )
-    common.add_argument(
-        "--m-max",
-        type=int,
-        dest="m_max",
-        help="fixed largest angular sector (default: adaptive)",
-    )
-    common.add_argument(
-        "--mu-c", type=float, dest="mu_c", help="hard radial filter cutoff"
-    )
+    _add_flags(common, [s for s in RUN_SETTINGS if s.kind is not SweepRange])
     common.add_argument("--format", choices=["csv", "json"], help="primary output format")
     common.add_argument("--out", help="output path")
     common.add_argument("--threads", type=int, help="worker threads for sweep points")
@@ -510,11 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", parents=[common], help="Schmidt number over a control parameter range"
     )
-    sweep.add_argument(
-        "--bsigma-range",
-        dest="bsigma_range",
-        help="control parameter sweep as start:stop:count[:log|linear]",
-    )
+    _add_flags(sweep, [s for s in RUN_SETTINGS if s.kind is SweepRange])
     sweep.add_argument(
         "--numerical-gaussian",
         dest="numerical_gaussian",
@@ -550,32 +485,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(args: argparse.Namespace, merged: dict, cfg: RunConfig) -> dict:
+    """Check the run against its _COMMANDS entry and return the execution options.
+
+    The requested format owns the output path, by default the command's
+    name with that extension; a command that writes a second format puts
+    it on the same base name with the other extension, which may not
+    land on the same path.
+    """
+    name, command = args.command, _COMMANDS[args.command]
+    if merged["out"] is not None:
+        _check_type("out", merged["out"], str)
+    _check_type("threads", merged["threads"], numbers.Integral)
+    _check_type("numerical_gaussian", merged["numerical_gaussian"], bool)
+    if command.single_family and cfg.family == "both":
+        raise ValueError(f"family must be 'gaussian' or 'sinc' for {name}")
+    if getattr(cfg, command.control) is None:
+        raise ValueError(_MISSING_CONTROL[command.control])
+    fmt = command.formats[0] if merged["format"] is None else merged["format"]
+    if fmt not in command.formats:
+        names = " or ".join(f.upper() for f in command.formats)
+        raise ValueError(f"{name} output is {names} only")
+    out = merged["out"] or f"{name}.{fmt}"
+    base, _ = os.path.splitext(out)
+    paths = {f: out if f == fmt else f"{base}.{f}" for f in command.formats}
+    if len(set(paths.values())) < len(paths):
+        raise ValueError(f"--out {out} would receive both the CSV and the JSON output")
+    return {
+        "paths": paths,
+        "threads": max(1, merged["threads"]),
+        "numerical_gaussian": merged["numerical_gaussian"],
+        "modes": [_parse_mode(text) for text in getattr(args, "modes", None) or ()],
+    }
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         merged = _merge_config(args)
         cfg = _build_runconfig(merged)
-        if merged["format"] not in (None, "csv", "json"):
-            raise _ConfigError("format must be 'csv' or 'json'")
-        if merged["out"] is not None:
-            _check_type("out", merged["out"], str)
-        _check_type("threads", merged["threads"], numbers.Integral)
-        _check_type("numerical_gaussian", merged["numerical_gaussian"], bool)
-        opts = {
-            "format": merged["format"],
-            "out": merged["out"],
-            "threads": max(1, merged["threads"]),
-            "numerical_gaussian": merged["numerical_gaussian"],
-            "modes": getattr(args, "modes", None),
-        }
+        opts = _options(args, merged, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg, opts)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command].run(cfg, opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

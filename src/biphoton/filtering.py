@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized, unit_norm_integral
-from .grids import angular_grid
+from .grids import N_THETA, angular_grid
 from .measures import SchmidtSpectrum
 from .pipeline import RunConfig, decompose
 
@@ -100,7 +100,7 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
 def slice_intensity(
     model: AmplitudeModel,
     k_values,
-    n_theta: int = 512,
+    n_theta: int = N_THETA,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak-normalized squared amplitude on the equal-magnitude subspace.
 

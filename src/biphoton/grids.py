@@ -16,6 +16,12 @@ import numpy as np
 
 __all__ = ["RadialGrid", "angular_grid", "build_radial_grid", "default_k_max"]
 
+KMAX_FACTOR = 8.0
+"""Default radial truncation factor of a run (see default_k_max)."""
+
+N_THETA = 512
+"""Default number of relative-azimuth samples of a run."""
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -81,7 +87,7 @@ def build_radial_grid(n: int, k_min: float, k_max: float) -> RadialGrid:
     )
 
 
-def default_k_max(b_sigma: float, factor: float = 8.0) -> float:
+def default_k_max(b_sigma: float, factor: float = KMAX_FACTOR) -> float:
     """Radial truncation, in pump-width units.
 
     The amplitude support widens as the control parameter b_sigma shrinks,

@@ -3,8 +3,13 @@
 The Schmidt number K = 1 / sum(lambda^2) is the participation ratio of
 the eigenvalue distribution and counts the effective number of entangled
 mode pairs; the entropy is reported in bits. Both are computed on the
-coverage-renormalized table so that truncation bias enters only at
-second order, with the raw value alongside. Every sum is a math.fsum.
+coverage-renormalized table, with the raw value alongside. Renormalizing
+by the coverage would leave only a second-order truncation bias for a
+table normalized on the truncated set. The pipeline's table is not: the
+amplitude is normalized over every sector on the run's radial grid, so
+the kept lambda are the true leading entries. The renormalized K then
+errs by about 2 (1 - coverage) relative, while the raw K errs only at
+second order. Every sum is a math.fsum.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .amplitudes import AmplitudeFamily, AmplitudeModel
-from .grids import RadialGrid, angular_grid
+from .grids import N_THETA, RadialGrid, angular_grid
 
 __all__ = [
     "SchmidtNumber",
@@ -130,7 +135,7 @@ def entanglement_entropy(lams) -> float:
 def variance_K_estimate(
     model: AmplitudeModel,
     grid: RadialGrid,
-    n_theta: int = 512,
+    n_theta: int = N_THETA,
 ) -> float:
     """Schmidt number estimated from second moments of the intensity.
 

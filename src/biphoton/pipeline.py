@@ -12,10 +12,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .amplitudes import AmplitudeFamily, AmplitudeModel, normalize
-from .angular import SectorKernel, adaptive_sectors, angular_fourier, sector_coverage
-from .grids import RadialGrid, build_radial_grid, default_k_max
+from .angular import (
+    SECTOR_TOL,
+    SectorKernel,
+    _check_angular,
+    adaptive_sectors,
+    angular_fourier,
+    sector_coverage,
+)
+from .grids import KMAX_FACTOR, N_THETA, RadialGrid, build_radial_grid, default_k_max
 from .measures import SchmidtSpectrum
 from .schmidt import SectorSpectrum, assemble_spectrum, decompose_sector
 
@@ -48,15 +56,64 @@ class SweepRange:
         return list(np.linspace(self.start, self.stop, self.count))
 
 
-_SETTINGS = {
-    "grid_n": numbers.Integral,
-    "kmax_factor": numbers.Real,
-    "n_theta": numbers.Integral,
-    "sector_tol": numbers.Real,
-    "m_max": numbers.Integral,
-    "mu_c": numbers.Real,
-}
-"""Numerical run settings, the keywords of decompose and apply_filter, by type."""
+FAMILIES = (*(family.value for family in AmplitudeFamily), "both")
+"""Values of RunConfig.family; 'both' runs each family in a sweep."""
+
+
+class RunSetting(NamedTuple):
+    """One run input: its RunConfig field, value kind, config key and description.
+
+    The config key is also the command-line flag, with dashes for
+    underscores. A field whose RunConfig default is None may stay unset.
+    """
+
+    field: str
+    kind: type
+    key: str
+    help: str
+
+
+SETTINGS = (
+    RunSetting("grid_n", numbers.Integral, "grid_n", "radial quadrature order"),
+    RunSetting(
+        "kmax_factor",
+        numbers.Real,
+        "kmax_factor",
+        "radial truncation k_max = factor * max(1, 1/bsigma)",
+    ),
+    RunSetting(
+        "n_theta", numbers.Integral, "ntheta", "azimuthal samples, a power of two >= 64"
+    ),
+    RunSetting(
+        "sector_tol",
+        numbers.Real,
+        "sector_tol",
+        "allowed probability outside the kept angular sectors",
+    ),
+    RunSetting(
+        "m_max",
+        numbers.Integral,
+        "m_max",
+        "fixed largest angular sector (default: adaptive)",
+    ),
+    RunSetting("mu_c", numbers.Real, "mu_c", "hard radial filter cutoff"),
+)
+"""Numerical run settings, the keywords of decompose and apply_filter."""
+
+RUN_SETTINGS = (
+    RunSetting(
+        "family", str, "family", "amplitude family ('both' is valid for sweep only)"
+    ),
+    RunSetting("b_sigma", numbers.Real, "bsigma", "control parameter b*sigma_perp"),
+    RunSetting(
+        "sweep",
+        SweepRange,
+        "bsigma_range",
+        "control parameter sweep as start:stop:count[:log|linear]",
+    ),
+    *SETTINGS,
+)
+"""Every field of RunConfig, in the order flags and echoed metadata list them."""
 
 
 _NOUNS = {
@@ -64,6 +121,7 @@ _NOUNS = {
     numbers.Integral: "an integer",
     bool: "true or false",
     str: "a string",
+    SweepRange: "a sweep range",
 }
 
 
@@ -79,13 +137,16 @@ def _check_type(name: str, value, kind=numbers.Real) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters: the one place a run setting is defaulted.
+    """Validated run parameters, one field per entry of RUN_SETTINGS.
 
     decompose and apply_filter build one from their keywords, and the
     command line builds one from its flags and config file, so every bad
-    value fails here, before any amplitude is computed. Exactly one of
-    b_sigma and sweep must be set for commands that need the control
-    parameter. Fields that only steer execution (output path, format,
+    value fails here, before any amplitude is computed. At most one of
+    b_sigma and sweep is set; a command that needs the control parameter
+    requires one of them. The defaults of kmax_factor, n_theta and
+    sector_tol are the named constants that the stage functions' keyword
+    defaults use too, and the rules on n_theta, m_max and sector_tol are
+    angular's. Fields that only steer execution (output path, format,
     thread count) are tracked separately by the CLI so the echoed
     configuration stays identical across equivalent runs.
     """
@@ -94,38 +155,35 @@ class RunConfig:
     b_sigma: float | None = None
     sweep: SweepRange | None = None
     grid_n: int = 200
-    kmax_factor: float = 8.0
-    n_theta: int = 512
-    sector_tol: float = 1e-6
+    kmax_factor: float = KMAX_FACTOR
+    n_theta: int = N_THETA
+    sector_tol: float = SECTOR_TOL
     m_max: int | None = None
     mu_c: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "sinc", "both"):
+        for setting in RUN_SETTINGS:
+            value = getattr(self, setting.field)
+            if value is not None or getattr(RunConfig, setting.field) is not None:
+                _check_type(setting.field, value, setting.kind)
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name, kind in _SETTINGS.items():
-            if not (name == "m_max" and self.m_max is None):
-                _check_type(name, getattr(self, name), kind)
+        if self.b_sigma is not None and self.sweep is not None:
+            raise ValueError("b_sigma and a sweep range are mutually exclusive")
         if self.b_sigma is not None:
-            _check_type("b_sigma", self.b_sigma)
             if not (math.isfinite(self.b_sigma) and self.b_sigma > 0):
                 raise ValueError("b_sigma must be positive and finite")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
         if not (math.isfinite(self.kmax_factor) and self.kmax_factor > 0):
             raise ValueError("kmax_factor must be positive and finite")
-        if self.n_theta < 64 or self.n_theta & (self.n_theta - 1):
-            raise ValueError("n_theta must be a power of two, at least 64")
-        if not 0.0 < self.sector_tol < 1.0:
-            raise ValueError("sector_tol must be in (0, 1)")
-        if self.m_max is not None and not 0 <= self.m_max < self.n_theta // 2:
-            raise ValueError("m_max must satisfy 0 <= m_max < n_theta / 2")
+        _check_angular(self.n_theta, self.m_max, self.sector_tol)
         if not (math.isfinite(self.mu_c) and self.mu_c >= 0):
             raise ValueError("mu_c must be nonnegative and finite")
 
     def settings(self, **changes) -> dict:
         """The numerical settings as decompose keywords, with changes applied."""
-        return {name: getattr(self, name) for name in _SETTINGS} | changes
+        return {s.field: getattr(self, s.field) for s in SETTINGS} | changes
 
     def radial_grid(self) -> RadialGrid:
         """Radial quadrature rule of a run at b_sigma.

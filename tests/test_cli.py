@@ -102,6 +102,68 @@ def test_config_file_with_flag_override(workdir):
     assert metadata["n_theta"] == "128"
 
 
+@pytest.mark.parametrize(
+    "key, value, other",
+    [
+        ("grid_n", 48, 32),
+        ("kmax_factor", 6.0, 7.5),
+        ("ntheta", 128, 256),
+        ("sector_tol", 1e-8, 1e-4),
+        ("m_max", 12, 16),
+        ("mu_c", 0.5, 1.0),
+    ],
+)
+def test_every_run_setting_round_trips(workdir, key, value, other):
+    # A value given by flag or by config file writes the same outputs, and
+    # a flag overrides the file.
+    fast = {"grid_n": "40", "ntheta": "64"}
+    base = ["decompose", "--family", "gaussian", "--bsigma", "1.5"]
+    for name, text in fast.items():
+        if name != key:
+            base += [f"--{name.replace('_', '-')}", text]
+    flag = [f"--{key.replace('_', '-')}", repr(value)]
+    runs = {"flag": (flag, None), "file": ([], value), "override": (flag, other)}
+    outputs = {}
+    for run, (flags, file_value) in runs.items():
+        args = [*base, *flags, "--out", f"{run}.csv"]
+        if file_value is not None:
+            (workdir / f"{run}.cfg").write_text(json.dumps({key: file_value}))
+            args += ["--config", f"{run}.cfg"]
+        assert main(args) == 0
+        outputs[run] = [(workdir / f"{run}.{ext}").read_bytes() for ext in ("csv", "json")]
+    assert outputs["file"] == outputs["flag"]
+    assert outputs["override"] == outputs["flag"]
+    field = "n_theta" if key == "ntheta" else key
+    assert json.loads(outputs["flag"][1])["config"][field] == value
+    metadata, _, _ = _read_csv(workdir / "flag.csv")
+    assert metadata[field] == repr(value)
+
+
+def test_out_naming_the_other_format_exits_2(workdir, capsys, fill_shapes):
+    # The second output would overwrite the first; nothing runs or is written.
+    base = ["--family", "gaussian", "--bsigma", "0.5", *FAST]
+    for args in (
+        ["decompose", "--format", "json", "--out", "result.csv"],
+        ["filter", "--format", "csv", "--out", "r.json"],
+    ):
+        assert main([*args, *base]) == 2
+        assert "both the CSV and the JSON output" in capsys.readouterr().err
+    assert fill_shapes == []
+    assert not any(workdir.iterdir())
+
+
+def test_b_sigma_with_a_sweep_range_exits_2(workdir, capsys, fill_shapes):
+    (workdir / "c.json").write_text(json.dumps({"bsigma_range": "0.5:2:3"}))
+    for args in (
+        ["decompose", "--bsigma", "1.5", "--config", "c.json"],
+        ["sweep", "--bsigma", "3", "--bsigma-range", "0.5:2:3"],
+    ):
+        assert main(args) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+    assert fill_shapes == []
+    assert sorted(path.name for path in workdir.iterdir()) == ["c.json"]
+
+
 def test_config_file_unknown_key(workdir, capsys):
     (workdir / "cfg.json").write_text(json.dumps({"famly": "gaussian"}))
     assert main(["decompose", "--config", "cfg.json", "--bsigma", "1.0"]) == 2
@@ -161,11 +223,15 @@ def test_invalid_run_parameters_exit_2(workdir):
     assert not any(workdir.iterdir())
 
 
-def test_csv_only_commands_reject_json(workdir):
-    base = ["--family", "sinc", "--bsigma", "1.0", "--format", "json"]
-    assert main(["sweep", "--bsigma-range", "1:2:3", *base]) == 2
-    assert main(["slice", *base]) == 2
-    assert main(["modes", "--modes", "0,0", *base]) == 2
+def test_csv_only_commands_reject_json(workdir, capsys):
+    base = ["--family", "sinc", "--format", "json"]
+    for command in (
+        ["sweep", "--bsigma-range", "1:2:3"],
+        ["slice", "--bsigma", "1.0"],
+        ["modes", "--modes", "0,0", "--bsigma", "1.0"],
+    ):
+        assert main([*command, *base]) == 2
+        assert f"{command[0]} output is CSV only" in capsys.readouterr().err
 
 
 def test_bad_sweep_range_specs(workdir):

@@ -34,8 +34,8 @@ from biphoton import (
     ],
 )
 def test_stage_default_is_the_run_default(stage, keyword, setting):
-    # RunConfig is the one source of run defaults; a stage's own keyword
-    # default may only follow it, never drift from it.
+    # A stage's keyword default names the same constant as RunConfig's
+    # field, so the two never drift apart.
     default = inspect.signature(getattr(biphoton, stage)).parameters[keyword].default
     assert default == getattr(RunConfig(), setting)
 
@@ -56,6 +56,8 @@ def test_runconfig_validation():
         RunConfig(m_max=-2)
     with pytest.raises(ValueError, match="mu_c"):
         RunConfig(mu_c=-0.5)
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        RunConfig(b_sigma=1.5, sweep=SweepRange(0.5, 2.0, 3))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="b_sigma"):
             RunConfig(b_sigma=bad)
@@ -92,6 +94,31 @@ def test_kept_sectors_do_not_hold_the_top_sized_array():
     base = result.kernels[0].matrix.base
     assert base.shape[0] == result.m_max + 1
     for kernel in result.kernels:
+        assert kernel.matrix.flags.c_contiguous
+        assert np.shares_memory(kernel.matrix, base)
+
+
+def test_a_profiled_run_keeps_the_sectors_of_a_plain_one():
+    # A profiler or tracer holds one more reference to the top coefficient
+    # array, and ndarray.resize refuses to shrink it then; the kept sectors
+    # are copied out of it instead. Under an outside profiler (cProfile,
+    # a coverage tool) the run is profiled already, and that profiler is
+    # left in place.
+    plain = decompose("sinc", 0.5, grid_n=40)
+    previous = sys.getprofile()
+    if previous is None:
+        sys.setprofile(lambda *args: None)
+    try:
+        profiled = decompose("sinc", 0.5, grid_n=40)
+    finally:
+        if previous is None:
+            sys.setprofile(None)
+    assert sys.getprofile() is previous
+    assert profiled.m_max == 64
+    assert profiled.spectrum.k == plain.spectrum.k
+    base = profiled.kernels[0].matrix.base
+    assert base.shape == (profiled.m_max + 1, 40, 40)
+    for kernel in profiled.kernels:
         assert kernel.matrix.flags.c_contiguous
         assert np.shares_memory(kernel.matrix, base)
 
