@@ -290,7 +290,7 @@ def _cmd_modes(cfg: RunConfig, opts: dict) -> int:
     for n, m in opts["modes"]:
         label = f"phi_n{n}_m{m}"
         sector = sectors[abs(m)] if abs(m) < len(sectors) else None
-        if sector is None or n >= len(sector.modes):
+        if sector is None or n >= len(sector.gammas):
             meta.append((f"error_{label}", "beyond truncation"))
             failures += 1
             continue

@@ -70,7 +70,8 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
 
     unfiltered = decompose(cfg.family, cfg.b_sigma, **cfg.settings(mu_c=0.0))
     # Only the spectrum and the normalization outlive the unfiltered run;
-    # its kernels and modes are released before the filtered one starts.
+    # its kernels are released before the filtered one starts (no mode is
+    # built unless one is read).
     original, constant = unfiltered.spectrum, unfiltered.model.unit_norm_constant
     del unfiltered
     if cfg.mu_c == 0.0:

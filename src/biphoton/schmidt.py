@@ -6,12 +6,18 @@ radial factorization F_m(k, q) sqrt(k q) = sum_n sqrt(gamma_nm)
 phi_nm(k) phi_nm(q). The reduced-density-matrix eigenvalues are
 gamma_n = e_n^2, which is valid for either sign of e_n; the signs are
 recorded separately so the kernel stays exactly reconstructible.
+
+The Schmidt number and the entropy need only the eigenvalues, so
+decompose_sector solves for eigenvalues alone. The mode profiles are
+built from the sector's kernel on first access to SectorSpectrum.modes,
+in the order the eigenvalues were given their labels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +62,7 @@ class SchmidtMode:
 
 @dataclass(frozen=True)
 class SectorSpectrum:
-    """Eigendecomposition of one sector kernel.
+    """Eigenvalues of one sector kernel, with its modes built on demand.
 
     Attributes
     ----------
@@ -68,13 +74,34 @@ class SectorSpectrum:
     signs : ndarray
         Signs of the kernel eigenvalues e_n, so that the kernel equals
         sum_n signs[n] * sqrt(gammas[n]) * weighted-mode outer products.
+    kernel : SectorKernel
+        The kernel the eigenvalues were solved from.
+    order : ndarray
+        Position of each labelled eigenvalue in the eigensolver's
+        ascending order: label n is the ascending eigenvalue order[n].
     modes : list of SchmidtMode
+        Built on first access by one eigendecomposition of the kernel,
+        whose eigenvectors take the labels of ``order``, and then kept.
     """
 
     m: int
     gammas: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
-    modes: list[SchmidtMode] = field(repr=False)
+    kernel: SectorKernel = field(repr=False)
+    order: np.ndarray = field(repr=False)
+
+    @cached_property
+    def modes(self) -> list[SchmidtMode]:
+        grid = self.kernel.grid
+        _, vectors = np.linalg.eigh(self.kernel.matrix)
+        profiles = vectors.T[self.order]
+        profiles /= np.sqrt(grid.weights * grid.nodes)
+        peaks = profiles[np.arange(self.order.size), np.argmax(np.abs(profiles), axis=1)]
+        profiles[peaks < 0.0] *= -1.0
+        return [
+            SchmidtMode(n=n, m=self.m, values=phi, grid=grid)
+            for n, phi in enumerate(profiles)
+        ]
 
 
 def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float = 1e-2) -> int:
@@ -115,18 +142,18 @@ def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float =
 
 
 def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
-    """Symmetric eigendecomposition of one sector kernel.
+    """Symmetric eigenvalues of one sector kernel, ranked and labelled.
 
-    Orders eigenpairs by descending gamma = e^2, unweights eigenvectors
-    into mode profiles phi = v / sqrt(w k), and drops trailing eigenvalues
-    below the noise floor; a sector with nothing above the floor keeps its
-    leading mode. Neighbors whose gammas differ by at most 1e-9 of the
-    larger of the two form a degenerate group, within which the positive
-    kernel eigenvalue e comes first. This gives the two modes of a +-e
-    pair, which the high-m sinc sectors carry, labels that depend neither
-    on the order in which the eigensolver returns them nor on the radial
-    grid. The profiles are the rows of one array, and each mode's values
-    are a view of its row.
+    Orders the eigenvalues by descending gamma = e^2 and drops trailing
+    ones below the noise floor; a sector with nothing above the floor
+    keeps its leading one. Neighbors whose gammas differ by at most 1e-9
+    of the larger of the two form a degenerate group, within which the
+    positive kernel eigenvalue e comes first. This gives the two modes of
+    a +-e pair, which the high-m sinc sectors carry, labels that depend
+    neither on the order in which the eigensolver returns them nor on the
+    radial grid. No eigenvector is computed here: the mode profiles
+    phi = v / sqrt(w k) are built from the kernel, in this order, when
+    the spectrum's modes are first read.
     """
     matrix = kernel.matrix
     if not np.all(np.isfinite(matrix)):
@@ -135,7 +162,7 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     if asym > 1e-10:
         raise ValueError(f"sector kernel asymmetric beyond tolerance ({asym:.3e})")
 
-    eigenvalues, vectors = np.linalg.eigh(matrix)
+    eigenvalues = np.linalg.eigvalsh(matrix)
     gammas = eigenvalues**2
     order = np.argsort(-gammas, kind="stable")
     # Above-floor gammas form a prefix of the descending order.
@@ -144,19 +171,12 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     split = ranked[:-1] - ranked[1:] > _DEGENERACY_RTOL * ranked[:-1]
     group = np.concatenate(([0], np.cumsum(split)))
     order = order[np.lexsort((eigenvalues[order] < 0.0, group))]
-
-    profiles = vectors.T[order]
-    profiles /= np.sqrt(kernel.grid.weights * kernel.grid.nodes)
-    peaks = profiles[np.arange(order.size), np.argmax(np.abs(profiles), axis=1)]
-    profiles[peaks < 0.0] *= -1.0
     return SectorSpectrum(
         m=kernel.m,
         gammas=gammas[order],
         signs=np.where(eigenvalues[order] >= 0.0, 1.0, -1.0),
-        modes=[
-            SchmidtMode(n=n, m=kernel.m, values=phi, grid=kernel.grid)
-            for n, phi in enumerate(profiles)
-        ],
+        kernel=kernel,
+        order=order,
     )
 
 

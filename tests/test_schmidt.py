@@ -201,10 +201,61 @@ def test_degenerate_groups_match_loop_reference():
         matrix = (basis * e) @ basis.T
         matrix = 0.5 * (matrix + matrix.T)
         sector = decompose_sector(SectorKernel(m=5, p_m=1.0, matrix=matrix, grid=grid))
-        eigenvalues, _ = np.linalg.eigh(matrix)
+        eigenvalues = np.linalg.eigvalsh(matrix)
         order = _reference_order(eigenvalues)
         assert sector.gammas.tolist() == (eigenvalues[order] ** 2).tolist()
         assert sector.signs.tolist() == np.sign(eigenvalues[order]).tolist()
+
+
+def test_decompose_solves_no_eigenvectors(monkeypatch):
+    # The table needs eigenvalues only; a sector's eigenvectors are solved
+    # the first time its modes are read, and only then.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    result = decompose("sinc", 0.5, grid_n=40)
+    assert calls == []
+    assert not any("modes" in vars(sector) for sector in result.sector_spectra)
+
+    mode = result.sector_spectra[3].modes[0]
+    assert (mode.n, mode.m) == (0, 3)
+    assert len(calls) == 1 and calls[0] is result.kernels[3].matrix
+    built = [sector.m for sector in result.sector_spectra if "modes" in vars(sector)]
+    assert built == [3]
+
+    assert result.sector_spectra[3].modes[0] is mode
+    assert len(calls) == 1
+
+
+def _eager_profiles(kernel):
+    """Mode profiles built as decompose_sector built them from one eigh
+    call: its own eigenvalues ranked by _reference_order, its eigenvectors
+    unweighted by sqrt(w k) and signed so the largest sample is positive."""
+    eigenvalues, vectors = np.linalg.eigh(kernel.matrix)
+    order = _reference_order(eigenvalues)
+    profiles = vectors.T[order]
+    profiles /= np.sqrt(kernel.grid.weights * kernel.grid.nodes)
+    peaks = profiles[np.arange(len(order)), np.argmax(np.abs(profiles), axis=1)]
+    profiles[peaks < 0.0] *= -1.0
+    return profiles
+
+
+@pytest.mark.parametrize("family, b_sigma", [("sinc", 0.25), ("gaussian", 0.5)])
+def test_lazy_modes_equal_eager_modes(family, b_sigma, sinc_quarter):
+    result = sinc_quarter if family == "sinc" else decompose(family, b_sigma)
+    labels = {e[:2] for e in result.spectrum.entries}
+    for kernel, sector in zip(result.kernels, result.sector_spectra):
+        reference = _eager_profiles(kernel)
+        assert len(sector.modes) == len(sector.gammas) == len(reference)
+        for n, (mode, profile) in enumerate(zip(sector.modes, reference)):
+            assert mode.values.tobytes() == profile.tobytes()
+            assert (mode.n, mode.m) == (n, sector.m)
+            assert (mode.n, mode.m) in labels and (mode.n, -mode.m) in labels
 
 
 def test_pair_labels_are_grid_invariant(sinc_quarter):
@@ -282,12 +333,13 @@ def test_sector_rank_holds_in_the_table(sinc_quarter):
 
 def _toy_sector(m, gammas, grid):
     count = len(gammas)
-    modes = [
-        SchmidtMode(n=n, m=m, values=np.ones(grid.count), grid=grid)
-        for n in range(count)
-    ]
+    kernel = SectorKernel(m=m, p_m=1.0, matrix=np.eye(grid.count), grid=grid)
     return SectorSpectrum(
-        m=m, gammas=np.array(gammas), signs=np.ones(count), modes=modes
+        m=m,
+        gammas=np.array(gammas),
+        signs=np.ones(count),
+        kernel=kernel,
+        order=np.arange(count),
     )
 
 
