@@ -44,7 +44,14 @@ from .measures import (
     schmidt_number,
     variance_K_estimate,
 )
-from .pipeline import DecompositionResult, RunConfig, SweepRange, decompose
+from .pipeline import (
+    DecompositionResult,
+    KByTrace,
+    RunConfig,
+    SweepRange,
+    decompose,
+    schmidt_number_by_trace,
+)
 from .schmidt import (
     SchmidtMode,
     SectorSpectrum,
@@ -65,6 +72,7 @@ __all__ = [
     "DecompositionResult",
     "FilterReport",
     "GaussianSpectrumParams",
+    "KByTrace",
     "KERNEL_BACKEND",
     "RadialGrid",
     "RunConfig",
@@ -97,6 +105,7 @@ __all__ = [
     "oscillator_scale",
     "radial_node_count",
     "schmidt_number",
+    "schmidt_number_by_trace",
     "sector_coefficient",
     "sector_coverage",
     "slice_intensity",

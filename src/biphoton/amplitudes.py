@@ -58,6 +58,12 @@ class TransverseVector:
             raise ValueError("k_mag must be nonnegative")
 
 
+def _check_cutoff(mu_c: float) -> None:
+    """The rule on the radial cutoff mu_c; RunConfig raises it too."""
+    if not (math.isfinite(mu_c) and mu_c >= 0):
+        raise ValueError("mu_c must be nonnegative and finite")
+
+
 @dataclass(frozen=True)
 class AmplitudeModel:
     """Immutable description of one biphoton amplitude.
@@ -89,8 +95,7 @@ class AmplitudeModel:
             raise ValueError("sigma_perp must be positive and finite")
         if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError("b must be positive and finite")
-        if not (math.isfinite(self.cutoff) and self.cutoff >= 0):
-            raise ValueError("cutoff must be nonnegative and finite")
+        _check_cutoff(self.cutoff)
         if self.norm_constant is not None and self.norm_constant <= 0:
             raise ValueError("norm_constant must be positive when set")
 

@@ -31,6 +31,7 @@ from .pipeline import (
     SweepRange,
     _check_type,
     decompose,
+    schmidt_number_by_trace,
 )
 from .schmidt import radial_node_count
 
@@ -69,14 +70,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_rows(rows):
+    """Rows with every value written by _fmt."""
+    return ([_fmt(value) for value in row] for row in rows)
+
+
 def _write_csv(path, metadata, header, rows) -> None:
+    """Metadata lines, the header, then the rows as they are given.
+
+    csv writes an int or a float as str(), which is _fmt's text for it,
+    so the plain (int, int, float) rows of an eigenvalue table go in
+    directly; rows that may hold None, bools or NumPy scalars are passed
+    through _fmt_rows.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in metadata:
             fh.write(f"# {key} = {_fmt(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(value) for value in row])
+        writer.writerows(rows)
 
 
 def _write_json(path, payload) -> None:
@@ -258,7 +270,7 @@ def _cmd_sweep(cfg: RunConfig, opts: dict) -> int:
                 if analytic:
                     row[column] = analytic_K(t)
                 else:
-                    row[column] = decompose(fam, t, **cfg.settings()).spectrum.k
+                    row[column] = schmidt_number_by_trace(fam, t, **cfg.settings()).k
         except Exception as exc:  # recorded in-row; the sweep continues
             row["error"] = str(exc)
         return row
@@ -276,7 +288,7 @@ def _cmd_sweep(cfg: RunConfig, opts: dict) -> int:
             failures += 1
         table.append([t, *[row.get(column, "") for column in columns], error])
     out = opts["paths"]["csv"]
-    _write_csv(out, meta, ["b_sigma", *columns, "error"], table)
+    _write_csv(out, meta, ["b_sigma", *columns, "error"], _fmt_rows(table))
     print(f"wrote {out} ({len(points)} points, {failures} failed)")
     return 1 if failures else 0
 
@@ -302,7 +314,7 @@ def _cmd_modes(cfg: RunConfig, opts: dict) -> int:
         for i, k in enumerate(result.grid.nodes)
     )
     out = opts["paths"]["csv"]
-    _write_csv(out, meta, ["k", *[label for label, _ in columns]], rows)
+    _write_csv(out, meta, ["k", *[label for label, _ in columns]], _fmt_rows(rows))
     print(f"wrote {out} ({len(columns)} modes, {failures} beyond truncation)")
     return 1 if failures else 0
 
@@ -317,7 +329,8 @@ def _cmd_slice(cfg: RunConfig, opts: dict) -> int:
         for j in range(dtheta.size)
     )
     out = opts["paths"]["csv"]
-    _write_csv(out, _metadata(_config_echo(cfg)), ["k", "dtheta", "intensity"], rows)
+    header = ["k", "dtheta", "intensity"]
+    _write_csv(out, _metadata(_config_echo(cfg)), header, _fmt_rows(rows))
     print(f"wrote {out}")
     return 0
 

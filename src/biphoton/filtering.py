@@ -5,7 +5,8 @@ strongly anticorrelated part of the amplitude, which raises the Schmidt
 number at the cost of a reduced detection probability. The filtered
 amplitude is renormalized and sent through the full decomposition
 pipeline; the acceptance is the probability that the original state
-survives the cutoff.
+survives the cutoff. Of the unfiltered state only the Schmidt number
+and the normalization are reported, so it is not eigendecomposed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import _kernels
 from .amplitudes import AmplitudeModel, _require_normalized, unit_norm_integral
 from .grids import N_THETA, angular_grid
 from .measures import SchmidtSpectrum
-from .pipeline import RunConfig, decompose
+from .pipeline import RunConfig, decompose, schmidt_number_by_trace
 
 __all__ = ["FilterReport", "angular_fwhm", "apply_filter", "slice_intensity"]
 
@@ -39,7 +40,8 @@ class FilterReport:
         1 when mu_c = 0.
     k_filtered, k_original : float
         Coverage-renormalized Schmidt numbers of the filtered and
-        unfiltered amplitudes.
+        unfiltered amplitudes; k_original is taken by the trace identity
+        when mu_c > 0.
     filtered_spectrum : SchmidtSpectrum
         Full eigenvalue table of the filtered state.
     """
@@ -54,12 +56,16 @@ class FilterReport:
 def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport:
     """Decompose the amplitude with wavevectors below mu_c removed.
 
-    The settings are those of decompose, which both decompositions run
-    with. The acceptance integrates the squared original amplitude over
-    the filtered domain [mu_c, stretched k_max] against the unfiltered
-    normalization, so it is a projection probability of the original
-    state. The filtered quadrature starts exactly at the cutoff rather
-    than multiplying a step function onto a straddling grid.
+    The settings are those of decompose, which both runs use. The
+    unfiltered run yields only K_original and the normalization that the
+    acceptance needs, so it takes K by the trace identity
+    (schmidt_number_by_trace) and solves no eigenproblem; at mu_c = 0 it
+    is the filtered run too, and is fully decomposed. The acceptance
+    integrates the squared original amplitude over the filtered domain
+    [mu_c, stretched k_max] against the unfiltered normalization, so it
+    is a projection probability of the original state. The filtered
+    quadrature starts exactly at the cutoff rather than multiplying a
+    step function onto a straddling grid.
     """
     cfg = RunConfig(
         family=model.family.value, b_sigma=model.b_sigma, mu_c=mu_c, **settings
@@ -68,13 +74,9 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     if model.cutoff > 0.0:
         raise ValueError("model already carries a cutoff; filter the unfiltered model")
 
-    unfiltered = decompose(cfg.family, cfg.b_sigma, **cfg.settings(mu_c=0.0))
-    # Only the spectrum and the normalization outlive the unfiltered run;
-    # its kernels are released before the filtered one starts (no mode is
-    # built unless one is read).
-    original, constant = unfiltered.spectrum, unfiltered.model.unit_norm_constant
-    del unfiltered
+    unfiltered = cfg.settings(mu_c=0.0)
     if cfg.mu_c == 0.0:
+        original = decompose(cfg.family, cfg.b_sigma, **unfiltered).spectrum
         return FilterReport(
             mu_c=0.0,
             acceptance=1.0,
@@ -82,6 +84,10 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
             k_original=original.k,
             filtered_spectrum=original,
         )
+    k_original, normalized = schmidt_number_by_trace(
+        cfg.family, cfg.b_sigma, **unfiltered
+    )
+    constant = normalized.unit_norm_constant
 
     surviving = unit_norm_integral(model, cfg.radial_grid(), cfg.n_theta)
     acceptance = min(surviving * constant**2, 1.0)
@@ -93,7 +99,7 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
         mu_c=float(cfg.mu_c),
         acceptance=float(acceptance),
         k_filtered=filtered.spectrum.k,
-        k_original=original.k,
+        k_original=k_original,
         filtered_spectrum=filtered.spectrum,
     )
 

@@ -69,14 +69,19 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _check_grid_n(n: int) -> None:
+    """The rule on the radial node count; RunConfig raises it too."""
+    if n < 2:
+        raise ValueError("grid_n must be at least 2")
+
+
 def build_radial_grid(n: int, k_min: float, k_max: float) -> RadialGrid:
     """Build an n-point Gauss-Legendre rule mapped to [k_min, k_max].
 
     The rule integrates polynomials of degree <= 2n - 1 exactly on the
     interval, which is the property the tests probe on monomials.
     """
-    if n < 2:
-        raise ValueError("need at least 2 radial nodes")
+    _check_grid_n(n)
     x, w = _legendre_rule(n)
     half = 0.5 * (k_max - k_min)
     return RadialGrid(

@@ -10,6 +10,11 @@ amplitude is normalized over every sector on the run's radial grid, so
 the kept lambda are the true leading entries. The renormalized K then
 errs by about 2 (1 - coverage) relative, while the raw K errs only at
 second order. Every sum is a math.fsum.
+
+K is also 1 / Tr rho^2 of the reduced state, and sum(lambda^2) is a sum
+over sectors of P_m^2 ||M_m M_m||_F^2, so where K is the only output
+(pipeline.schmidt_number_by_trace) it is taken without the table; the
+coverage and K checks and the coverage warning below serve both ways.
 """
 
 from __future__ import annotations
@@ -81,16 +86,35 @@ class SchmidtSpectrum:
     p_m_table: dict[int, float] = field(repr=False)
 
     def __post_init__(self):
-        if self.coverage > 1.0 + 1e-6:
-            raise ValueError("coverage exceeds unity beyond tolerance")
-        if self.k < 1.0 - 1e-9:
-            raise ValueError("Schmidt number below 1")
+        _check_coverage_and_k(self.coverage, self.k)
         if self.entropy < -1e-12:
             raise ValueError("negative entropy")
 
     @property
     def lambdas(self) -> np.ndarray:
         return np.array([entry[2] for entry in self.entries])
+
+
+def _check_coverage_and_k(coverage: float, k: float) -> None:
+    """Reject a coverage above unity or a renormalized K below 1.
+
+    SchmidtSpectrum checks its own fields with it, and so does a Schmidt
+    number computed without a table.
+    """
+    if coverage > 1.0 + 1e-6:
+        raise ValueError("coverage exceeds unity beyond tolerance")
+    if k < 1.0 - 1e-9:
+        raise ValueError("Schmidt number below 1")
+
+
+def _warn_low_coverage(coverage: float) -> None:
+    """Warn, at the caller's caller, when the coverage is below 0.999."""
+    if coverage < COVERAGE_WARN:
+        warnings.warn(
+            f"truncation coverage {coverage:.6f} below {COVERAGE_WARN}; "
+            "measures may be biased",
+            stacklevel=3,
+        )
 
 
 def _checked_lambdas(lams) -> np.ndarray:
@@ -112,12 +136,7 @@ def schmidt_number(lams) -> SchmidtNumber:
     """
     arr = _checked_lambdas(lams)
     coverage = math.fsum(arr)
-    if coverage < COVERAGE_WARN:
-        warnings.warn(
-            f"truncation coverage {coverage:.6f} below {COVERAGE_WARN}; "
-            "measures may be biased",
-            stacklevel=2,
-        )
+    _warn_low_coverage(coverage)
     power = math.fsum(arr * arr)
     return SchmidtNumber(raw=1.0 / power, renormalized=coverage * coverage / power)
 

@@ -3,8 +3,11 @@
 A run normalizes the requested amplitude on a Gauss-Legendre grid,
 reduces it to orbital-angular-momentum sectors, eigendecomposes each
 sector, and assembles the global eigenvalue table with its measures.
-All stages work in pump-width-scaled dimensionless units; the single
-physics input is the control parameter b_sigma.
+Where only the Schmidt number is read (a sweep row, the unfiltered run
+of a filter), schmidt_number_by_trace shares that front half and takes
+K from the sector kernels without an eigensolve. All stages work in
+pump-width-scaled dimensionless units; the single physics input is the
+control parameter b_sigma.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .amplitudes import AmplitudeFamily, AmplitudeModel, normalize
+from .amplitudes import AmplitudeFamily, AmplitudeModel, _check_cutoff, normalize
 from .angular import (
     SECTOR_TOL,
     SectorKernel,
@@ -23,11 +26,25 @@ from .angular import (
     angular_fourier,
     sector_coverage,
 )
-from .grids import KMAX_FACTOR, N_THETA, RadialGrid, build_radial_grid, default_k_max
-from .measures import SchmidtSpectrum
-from .schmidt import SectorSpectrum, assemble_spectrum, decompose_sector
+from .grids import (
+    KMAX_FACTOR,
+    N_THETA,
+    RadialGrid,
+    _check_grid_n,
+    build_radial_grid,
+    default_k_max,
+)
+from .measures import SchmidtSpectrum, _check_coverage_and_k, _warn_low_coverage
+from .schmidt import SectorSpectrum, assemble_spectrum, decompose_sector, sector_purity
 
-__all__ = ["DecompositionResult", "RunConfig", "SweepRange", "decompose"]
+__all__ = [
+    "DecompositionResult",
+    "KByTrace",
+    "RunConfig",
+    "SweepRange",
+    "decompose",
+    "schmidt_number_by_trace",
+]
 
 FILTERED_KMAX_STRETCH = 1.5
 """Radial cutoff multiplier for filtered runs, whose support moves outward."""
@@ -145,10 +162,11 @@ class RunConfig:
     b_sigma and sweep is set; a command that needs the control parameter
     requires one of them. The defaults of kmax_factor, n_theta and
     sector_tol are the named constants that the stage functions' keyword
-    defaults use too, and the rules on n_theta, m_max and sector_tol are
-    angular's. Fields that only steer execution (output path, format,
-    thread count) are tracked separately by the CLI so the echoed
-    configuration stays identical across equivalent runs.
+    defaults use too. The rules on n_theta, m_max and sector_tol are
+    angular's, the grid_n rule is grids' and the mu_c rule is that of
+    AmplitudeModel's cutoff. Fields that only steer execution (output
+    path, format, thread count) are tracked separately by the CLI so the
+    echoed configuration stays identical across equivalent runs.
     """
 
     family: str = "sinc"
@@ -173,13 +191,11 @@ class RunConfig:
         if self.b_sigma is not None:
             if not (math.isfinite(self.b_sigma) and self.b_sigma > 0):
                 raise ValueError("b_sigma must be positive and finite")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        _check_grid_n(self.grid_n)
         if not (math.isfinite(self.kmax_factor) and self.kmax_factor > 0):
             raise ValueError("kmax_factor must be positive and finite")
         _check_angular(self.n_theta, self.m_max, self.sector_tol)
-        if not (math.isfinite(self.mu_c) and self.mu_c >= 0):
-            raise ValueError("mu_c must be nonnegative and finite")
+        _check_cutoff(self.mu_c)
 
     def settings(self, **changes) -> dict:
         """The numerical settings as decompose keywords, with changes applied."""
@@ -215,14 +231,13 @@ class DecompositionResult:
     n_theta: int
 
 
-def decompose(family, b_sigma: float, **settings) -> DecompositionResult:
-    """Full Schmidt decomposition of one amplitude.
+def _sectors(
+    family, b_sigma, settings
+) -> tuple[AmplitudeModel, RadialGrid, list[SectorKernel], int]:
+    """The front half of every run, as decompose describes it.
 
-    The settings are RunConfig's numerical fields (grid_n, kmax_factor,
-    n_theta, sector_tol, m_max, mu_c); RunConfig supplies their defaults
-    and rejects bad values before any work, and RunConfig.radial_grid
-    builds the radial grid. Sectors are chosen adaptively from
-    sector_tol unless an explicit m_max is given.
+    Returns the normalized model, the radial grid, the kept sector
+    kernels and the n_theta they were computed with.
     """
     _check_type("b_sigma", b_sigma)
     cfg = RunConfig(family=AmplitudeFamily(family).value, b_sigma=b_sigma, **settings)
@@ -233,9 +248,21 @@ def decompose(family, b_sigma: float, **settings) -> DecompositionResult:
         kernels = angular_fourier(
             model, grid, cfg.m_max, cfg.n_theta, sector_tol=cfg.sector_tol
         )
-        n_theta = cfg.n_theta
-    else:
-        kernels, n_theta = adaptive_sectors(model, grid, cfg.sector_tol, cfg.n_theta)
+        return model, grid, kernels, cfg.n_theta
+    kernels, n_theta = adaptive_sectors(model, grid, cfg.sector_tol, cfg.n_theta)
+    return model, grid, kernels, n_theta
+
+
+def decompose(family, b_sigma: float, **settings) -> DecompositionResult:
+    """Full Schmidt decomposition of one amplitude.
+
+    The settings are RunConfig's numerical fields (grid_n, kmax_factor,
+    n_theta, sector_tol, m_max, mu_c); RunConfig supplies their defaults
+    and rejects bad values before any work, and RunConfig.radial_grid
+    builds the radial grid. Sectors are chosen adaptively from
+    sector_tol unless an explicit m_max is given.
+    """
+    model, grid, kernels, n_theta = _sectors(family, b_sigma, settings)
     sector_spectra = [decompose_sector(kernel) for kernel in kernels]
     spectrum = assemble_spectrum(sector_spectra, [kernel.p_m for kernel in kernels])
     return DecompositionResult(
@@ -248,3 +275,35 @@ def decompose(family, b_sigma: float, **settings) -> DecompositionResult:
         m_max=kernels[-1].m,
         n_theta=n_theta,
     )
+
+
+class KByTrace(NamedTuple):
+    """Schmidt number of one run and the normalized model it was taken on."""
+
+    k: float
+    model: AmplitudeModel
+
+
+def schmidt_number_by_trace(family, b_sigma: float, **settings) -> KByTrace:
+    """Coverage-renormalized Schmidt number of one amplitude, with no eigensolve.
+
+    Runs decompose's front half with the same settings, then takes
+    K = (sum_m w_m P_m)^2 / sum_m w_m P_m^2 ||M_m M_m||_F^2, with w_0 = 1
+    and w_m = 2 for the mirrored m > 0. This is 1 / Tr rho^2 of the
+    coverage-renormalized reduced state: each sector's ||M_m M_m||_F^2
+    is the sum of its gamma^2 (schmidt.sector_purity). It agrees with
+    decompose's K to rounding and the gammas below the noise floor that
+    decompose drops. The kernels are checked as decompose_sector checks
+    them; the coverage warning and the coverage and K checks are
+    SchmidtSpectrum's.
+    """
+    model, _, kernels, _ = _sectors(family, b_sigma, settings)
+    weighted = [kernel.p_m if kernel.m == 0 else 2.0 * kernel.p_m for kernel in kernels]
+    coverage = math.fsum(weighted)
+    power = math.fsum(
+        w * kernel.p_m * sector_purity(kernel) for w, kernel in zip(weighted, kernels)
+    )
+    _warn_low_coverage(coverage)
+    k = coverage * coverage / power
+    _check_coverage_and_k(coverage, k)
+    return KByTrace(k=k, model=model)

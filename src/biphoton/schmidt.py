@@ -10,7 +10,9 @@ recorded separately so the kernel stays exactly reconstructible.
 The Schmidt number and the entropy need only the eigenvalues, so
 decompose_sector solves for eigenvalues alone. The mode profiles are
 built from the sector's kernel on first access to SectorSpectrum.modes,
-in the order the eigenvalues were given their labels.
+in the order the eigenvalues were given their labels. Where only the
+Schmidt number is read, sector_purity gives a sector's share of the
+purity, sum_n gamma_n^2 = ||M M||_F^2, with no eigensolve at all.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "assemble_spectrum",
     "decompose_sector",
     "radial_node_count",
+    "sector_purity",
 ]
 
 GAMMA_FLOOR = 1e-14
@@ -41,6 +44,11 @@ _DEGENERACY_RTOL = 1e-9
 
 _TIE_EPS = 4.0 * np.finfo(float).eps
 """Gap, in units of the larger sector probability P_m, under which two are tied."""
+
+_PURITY_FLOOR = 2.0**-500
+"""Kernel entries below this are zeroed before the purity product; their
+products underflow into subnormals, which slow the matrix product
+threefold and add nothing to a sum of squares of order 1e-30 or more."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,34 @@ def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float =
     return int(np.count_nonzero(lobe_signs[1:] != lobe_signs[:-1]))
 
 
+def _checked_matrix(kernel: SectorKernel) -> np.ndarray:
+    """The kernel's matrix, once it is finite and symmetric to 1e-10."""
+    matrix = kernel.matrix
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("sector kernel contains non-finite entries")
+    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    if asym > 1e-10:
+        raise ValueError(f"sector kernel asymmetric beyond tolerance ({asym:.3e})")
+    return matrix
+
+
+def sector_purity(kernel: SectorKernel) -> float:
+    """Sum of the sector's squared gammas, taken as ||M M||_F^2.
+
+    For the symmetric kernel M with eigenvalues e_n, M M has eigenvalues
+    e_n^2 = gamma_n, so the squared Frobenius norm of M M is
+    sum_n gamma_n^2 without an eigensolve. The kernel passes the checks
+    of decompose_sector first. Its entries below 2^-500 are then set to
+    zero in place, so the caller must own the kernel and read it no more.
+    """
+    matrix = _checked_matrix(kernel)
+    matrix[np.abs(matrix) < _PURITY_FLOOR] = 0.0
+    # M M = M M^T for the symmetric M; BLAS forms the latter as a
+    # symmetric rank-k update, at half the cost of a general product.
+    square = matrix @ matrix.T
+    return float(np.vdot(square, square))
+
+
 def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     """Symmetric eigenvalues of one sector kernel, ranked and labelled.
 
@@ -155,13 +191,7 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     phi = v / sqrt(w k) are built from the kernel, in this order, when
     the spectrum's modes are first read.
     """
-    matrix = kernel.matrix
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("sector kernel contains non-finite entries")
-    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if asym > 1e-10:
-        raise ValueError(f"sector kernel asymmetric beyond tolerance ({asym:.3e})")
-
+    matrix = _checked_matrix(kernel)
     eigenvalues = np.linalg.eigvalsh(matrix)
     gammas = eigenvalues**2
     order = np.argsort(-gammas, kind="stable")
@@ -178,6 +208,39 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
         kernel=kernel,
         order=order,
     )
+
+
+def _tied_runs(lam: np.ndarray, round_off: np.ndarray) -> np.ndarray:
+    """Run index of each entry of a descending lambda table.
+
+    A run starts at its head and takes every following entry within
+    max(1e-9 head, round_off[head], round_off[entry]) of the head. An
+    entry that joins a run is within max(1e-9 lambda / (1 - 1e-9),
+    round_off.max()) of its predecessor, so a gap of more than twice
+    that bound, taken at the lower entry, always starts a run. Only the
+    segments between such gaps are walked from head to head.
+    """
+    ro_max = float(round_off.max(initial=0.0))
+    bound = np.maximum(
+        _DEGENERACY_RTOL * (lam[1:] + ro_max) / (1.0 - _DEGENERACY_RTOL), ro_max
+    )
+    starts = np.ones(lam.size, dtype=bool)
+    starts[1:] = lam[:-1] - lam[1:] > 2.0 * bound
+    cuts = np.flatnonzero(starts)
+    ends = np.append(cuts[1:], lam.size)
+    walk = ends - cuts > 1
+    values, scales = lam.tolist(), round_off.tolist()
+    for lo, hi in zip(cuts[walk].tolist(), ends[walk].tolist()):
+        i = lo
+        while i < hi:
+            head = values[i]
+            reach = max(_DEGENERACY_RTOL * head, scales[i])
+            j = i + 1
+            while j < hi and head - values[j] <= max(reach, scales[j]):
+                j += 1
+            starts[i] = True
+            i = j
+    return np.cumsum(starts)
 
 
 def assemble_spectrum(
@@ -208,30 +271,26 @@ def assemble_spectrum(
         if sector.m != position:
             raise ValueError("sector and probability lists are misaligned")
 
-    entries: list[tuple[int, int, float]] = []
-    p_m_table: dict[int, float] = {}
-    for sector, p_m in zip(sectors, probs):
-        p_m_table[sector.m] = float(p_m)
-        for n, gamma in enumerate(sector.gammas):
-            lam = float(p_m * gamma)
-            entries.append((n, sector.m, lam))
-            if sector.m > 0:
-                entries.append((n, -sector.m, lam))
-    entries.sort(key=lambda e: -e[2])
-    round_off = [_TIE_EPS * p_m_table[abs(m)] for _, m, _ in entries]
-    ordered: list[tuple[int, int, float]] = []
-    i = 0
-    while i < len(entries):
-        head = entries[i][2]
-        reach = max(_DEGENERACY_RTOL * head, round_off[i])
-        j = i + 1
-        while j < len(entries) and head - entries[j][2] <= max(reach, round_off[j]):
-            j += 1
-        ordered.extend(sorted(entries[i:j], key=lambda e: (e[0], abs(e[1]), -e[1])))
-        i = j
-    entries = ordered
+    p_m_table = {sector.m: float(p_m) for sector, p_m in zip(sectors, probs)}
+    # The m >= 0 entries in build order. A mirrored -m entry has the lambda
+    # and round-off of its +m twin, so it joins the twin's run right after
+    # it; the runs are found on the m >= 0 entries and the mirrors added last.
+    m = np.repeat(np.arange(len(sectors)), [len(s.gammas) for s in sectors])
+    n = np.arange(m.size) - np.searchsorted(m, m)
+    lam = np.concatenate(
+        [np.empty(0), *(p_m * sector.gammas for sector, p_m in zip(sectors, probs))]
+    )
+    rank = np.argsort(-lam, kind="stable")
+    m, n, lam = m[rank], n[rank], lam[rank]
+    round_off = _TIE_EPS * np.array([*p_m_table.values()])[m]
+    order = np.lexsort((m, n, _tied_runs(lam, round_off)))
+    rows = np.repeat(order, np.where(m[order] > 0, 2, 1))
+    mirrored = np.zeros(rows.size, dtype=bool)
+    mirrored[1:] = rows[1:] == rows[:-1]
+    lams = lam[rows]
+    signed_m = np.where(mirrored, -m[rows], m[rows])
+    entries = list(zip(n[rows].tolist(), signed_m.tolist(), lams.tolist()))
 
-    lams = np.array([e[2] for e in entries])
     coverage = math.fsum(lams)
     number = schmidt_number(lams)
     entropy = entanglement_entropy(lams)

@@ -7,6 +7,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import biphoton
@@ -420,3 +421,67 @@ def test_console_script_entry_point(tmp_path):
     assert bad.returncode == 2, bad.stderr
     assert bad.stderr.startswith("error:")
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_numerical_sweep_solves_no_eigenproblem(workdir, monkeypatch):
+    # A sweep row reports K only, which the trace identity gives without
+    # a sector eigensolve; the Legendre rule is cached before the spy.
+    biphoton.build_radial_grid(40, 0.0, 1.0)
+    calls = []
+
+    def spying(solver):
+        def spy(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+
+        return spy
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
+    args = [
+        "sweep", "--family", "both", "--numerical-gaussian", "--bsigma-range",
+        "0.8:1.2:2", "--grid-n", "40", "--ntheta", "128",
+    ]
+    assert main(args) == 0
+    assert calls == []
+    _, _, rows = _read_csv(workdir / "sweep.csv")
+    for t, k_gauss, k_sinc, error in rows:
+        assert error == ""
+        for family, k in (("gaussian", k_gauss), ("sinc", k_sinc)):
+            table = biphoton.decompose(family, float(t), grid_n=40, n_theta=128)
+            assert float(k) == pytest.approx(table.spectrum.k, rel=1e-13, abs=0.0)
+
+
+def _reference_write_csv(path, metadata, header, rows):
+    """The CSV writer with every row value written by _fmt, row by row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key, value in metadata:
+            fh.write(f"# {key} = {biphoton.cli._fmt(value)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([biphoton.cli._fmt(value) for value in row])
+
+
+def test_csv_writer_matches_the_formatted_reference(tmp_path, sinc_quarter):
+    metadata = [("family", "sinc"), ("m_max", None), ("flag", True), ("t", 0.25)]
+    header = ["n", "m", "lambda"]
+    tables = {
+        "table": (header, sinc_quarter.spectrum.entries, False),
+        "sweep": (
+            ["b_sigma", "K_sinc", "error"],
+            [
+                [np.float64(0.8), 1.5, ""],
+                [0.9, "", 'value, with "quotes"\nand a newline'],
+                [1.0, None, "a,b"],
+                [np.float32(1.25), True, "'"],
+            ],
+            True,
+        ),
+    }
+    for name, (columns, rows, formatted) in tables.items():
+        written, reference = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref"
+        given = biphoton.cli._fmt_rows(rows) if formatted else rows
+        biphoton.cli._write_csv(written, metadata, columns, given)
+        _reference_write_csv(reference, metadata, columns, rows)
+        assert written.read_bytes() == reference.read_bytes()

@@ -171,3 +171,21 @@ def test_fwhm_without_crossing_is_nan():
     assert math.isnan(angular_fwhm(x, np.ones(11)))
     # decays on one side only
     assert math.isnan(angular_fwhm(x, np.exp(-x)))
+
+
+def test_filter_solves_only_the_filtered_sectors(monkeypatch, gauss_model_grid):
+    # The unfiltered run reports only K_original and the normalization, so
+    # it is taken by the trace identity; every eigensolve is a filtered sector.
+    model, _ = gauss_model_grid
+    # Building a grid caches its Legendre rule, whose nodes come from eigvalsh.
+    build_radial_grid(FAST["grid_n"], 0.0, 1.0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    report = apply_filter(model, 0.5, **FAST)
+    assert len(calls) == len(report.filtered_spectrum.p_m_table) == FAST["m_max"] + 1

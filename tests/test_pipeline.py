@@ -18,6 +18,7 @@ from biphoton import (
     analytic_mode,
     apply_filter,
     decompose,
+    schmidt_number_by_trace,
 )
 
 
@@ -271,3 +272,74 @@ def test_family_accepts_enum_and_string():
         biphoton.AmplitudeFamily.DOUBLE_GAUSSIAN, 2.0, grid_n=80, n_theta=128
     )
     assert by_string.spectrum.k == by_enum.spectrum.k
+
+
+@pytest.mark.parametrize(
+    "family, t, mu_c",
+    [
+        ("sinc", 0.25, 0.0),
+        ("sinc", 0.5, 0.0),
+        ("sinc", 1.0, 0.0),
+        ("gaussian", 0.5, 0.0),
+        ("gaussian", 1.5, 0.0),
+        ("sinc", 0.5, 1.5),
+    ],
+)
+def test_schmidt_number_by_trace_matches_the_table(family, t, mu_c, sinc_quarter):
+    # K = 1 / Tr rho^2 from the sector kernels equals the eigenvalue
+    # table's K up to rounding and the gammas below the noise floor.
+    if (family, t, mu_c) == ("sinc", 0.25, 0.0):
+        result = sinc_quarter
+    else:
+        result = decompose(family, t, mu_c=mu_c)
+    by_trace = schmidt_number_by_trace(family, t, mu_c=mu_c)
+    assert by_trace.k == pytest.approx(result.spectrum.k, rel=1e-13, abs=0.0)
+    assert by_trace.model == result.model
+    if family == "gaussian":
+        assert by_trace.k == pytest.approx(analytic_K(t), rel=1e-6)
+
+
+def _planting(monkeypatch, plant):
+    """Make the pipeline's adaptive_sectors hand out kernels changed by plant."""
+    original = biphoton.pipeline.adaptive_sectors
+
+    def planted(*args, **kwargs):
+        kernels, n_theta = original(*args, **kwargs)
+        plant(kernels[2].matrix)
+        return kernels, n_theta
+
+    monkeypatch.setattr(biphoton.pipeline, "adaptive_sectors", planted)
+
+
+def _non_finite(matrix):
+    matrix[0, 1] = matrix[1, 0] = np.nan
+
+
+def _asymmetric(matrix):
+    matrix[0, 1] += 1e-8
+
+
+@pytest.mark.parametrize(
+    "plant, message", [(_non_finite, "non-finite"), (_asymmetric, "asymmetric")]
+)
+def test_schmidt_number_by_trace_checks_kernels_like_decompose(
+    monkeypatch, plant, message
+):
+    _planting(monkeypatch, plant)
+    messages = []
+    for run in (decompose, schmidt_number_by_trace):
+        with pytest.raises(ValueError, match=message) as raised:
+            run("sinc", 1.0, grid_n=40, n_theta=64)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
+def test_schmidt_number_by_trace_warns_on_low_coverage_like_decompose():
+    settings = dict(grid_n=40, n_theta=64, m_max=1, sector_tol=0.5)
+    caught = []
+    for run in (decompose, schmidt_number_by_trace):
+        with pytest.warns(UserWarning, match="truncation coverage") as record:
+            run("sinc", 1.0, **settings)
+        caught.append([(w.category, str(w.message)) for w in record])
+    assert caught[0] == caught[1]
+    assert len(caught[0]) == 1

@@ -369,3 +369,100 @@ def test_assemble_rejects_misalignment():
     shuffled = [_toy_sector(1, [1.0], grid)]
     with pytest.raises(ValueError, match="misaligned"):
         assemble_spectrum(shuffled, [1.0])
+
+
+def _reference_entries(sectors, probs):
+    """Loop form of assemble_spectrum's table: mirror every m > 0 entry,
+    sort by descending lambda, then walk the runs from head to head and
+    order each by (n, |m|, -m)."""
+    entries = []
+    p_m_table = {}
+    for sector, p_m in zip(sectors, probs):
+        p_m_table[sector.m] = float(p_m)
+        for n, gamma in enumerate(sector.gammas):
+            lam = float(p_m * gamma)
+            entries.append((n, sector.m, lam))
+            if sector.m > 0:
+                entries.append((n, -sector.m, lam))
+    entries.sort(key=lambda e: -e[2])
+    round_off = [4.0 * np.finfo(float).eps * p_m_table[abs(m)] for _, m, _ in entries]
+    ordered = []
+    i = 0
+    while i < len(entries):
+        head = entries[i][2]
+        reach = max(1e-9 * head, round_off[i])
+        j = i + 1
+        while j < len(entries) and head - entries[j][2] <= max(reach, round_off[j]):
+            j += 1
+        ordered.extend(sorted(entries[i:j], key=lambda e: (e[0], abs(e[1]), -e[1])))
+        i = j
+    return ordered
+
+
+def _exact(entries):
+    return [(type(n), n, type(m), m, float(lam).hex()) for n, m, lam in entries]
+
+
+@pytest.mark.parametrize(
+    "family, b_sigma, mu_c",
+    [
+        ("sinc", 0.2, 0.0),
+        ("sinc", 0.25, 0.0),
+        ("sinc", 0.5, 0.0),
+        ("sinc", 1.0, 0.0),
+        ("sinc", 0.5, 1.5),
+        ("gaussian", 0.5, 0.0),
+        ("gaussian", 1.5, 0.0),
+        ("gaussian", 2.5, 0.0),
+    ],
+)
+def test_table_matches_the_loop_reference(family, b_sigma, mu_c, sinc_quarter):
+    if (family, b_sigma, mu_c) == ("sinc", 0.25, 0.0):
+        result = sinc_quarter
+    else:
+        result = decompose(family, b_sigma, mu_c=mu_c)
+    probs = [kernel.p_m for kernel in result.kernels]
+    reference = _reference_entries(result.sector_spectra, probs)
+    assert _exact(result.spectrum.entries) == _exact(reference)
+
+
+def test_table_ties_at_round_off_match_the_loop_reference():
+    # Every sector holds the same small levels, shifted by 0 to 8 eps P_0,
+    # and each level once more 0.3 to 0.7 of 1e-9 below itself. Below
+    # ~1e-7 the 4 eps P_m term decides the ties, with P_m from 0.5 down
+    # to ~1e-7; above it the 1e-9 relative term does, and neighbor gaps
+    # would chain the shifted copies into longer runs than the head allows.
+    rng = np.random.default_rng(5)
+    grid = build_radial_grid(4, 0.0, 1.0)
+    step = np.finfo(float).eps * 0.5
+    for _ in range(30):
+        others = rng.choice([0.2, 1e-3, 1e-6], 5)
+        probs = [0.5, *(0.25 * others / others.sum())]
+        levels = 10.0 ** rng.uniform(-16.0, -3.0, 6)
+        sectors = []
+        for m, p_m in enumerate(probs):
+            shifted = levels + step * rng.integers(0, 9, levels.size)
+            chained = levels * (1.0 - 1e-9 * rng.uniform(0.3, 0.7))
+            lam = np.concatenate([shifted, chained])
+            tail = np.sort(lam[lam < 0.01 * p_m] / p_m)[::-1]
+            sectors.append(_toy_sector(m, [1.0 - tail.sum(), *tail], grid))
+        table = assemble_spectrum(sectors, probs).entries
+        assert _exact(table) == _exact(_reference_entries(sectors, probs))
+
+
+def test_runs_are_measured_from_their_head():
+    # Three lambdas 0.6e-9 relative apart: the second is tied with the
+    # first, the third is 1.2e-9 below the head and starts a new run,
+    # although it is only 0.6e-9 below its neighbor.
+    grid = build_radial_grid(4, 0.0, 1.0)
+    rest = [0.15, 0.05]
+    sectors = [
+        _toy_sector(0, [0.6, 0.2, *rest], grid),
+        _toy_sector(1, [0.8 * (1.0 - 0.6e-9), 0.2], grid),
+        _toy_sector(2, [0.8 * (1.0 - 1.2e-9), 0.2], grid),
+    ]
+    probs = [0.5, 0.125, 0.125]
+    entries = assemble_spectrum(sectors, probs).entries
+    expected = [(0, 0), (0, 1), (0, -1), (1, 0), (0, 2), (0, -2)]
+    assert [e[:2] for e in entries[:6]] == expected
+    assert _exact(entries) == _exact(_reference_entries(sectors, probs))
