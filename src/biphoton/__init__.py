@@ -42,7 +42,6 @@ from .measures import (
     SchmidtSpectrum,
     entanglement_entropy,
     schmidt_number,
-    variance_K_estimate,
 )
 from .pipeline import (
     DecompositionResult,
@@ -99,6 +98,7 @@ __all__ = [
     "crystal_b",
     "decompose",
     "decompose_sector",
+    "default_k_max",
     "entanglement_entropy",
     "evaluate",
     "normalize",
@@ -110,6 +110,5 @@ __all__ = [
     "sector_coverage",
     "slice_intensity",
     "unit_norm_integral",
-    "variance_K_estimate",
     "xi_of",
 ]

@@ -2,8 +2,8 @@
 
 Every amplitude value in the package comes from :func:`amplitude`: the
 pointwise :func:`biphoton.amplitudes.evaluate`, the equal-magnitude slice,
-and the amplitude tensor that normalization, the angular Fourier pass and
-the variance estimate sweep through :func:`row_blocks`. The tensor is
+and the amplitude tensor that normalization and the angular Fourier pass
+sweep through :func:`row_blocks`. The tensor is
 stored azimuth-major, element [i, u, j] at (k_i, dtheta_u, k_j), so a
 radial row i is an (n_theta, N) block whose rows run over the azimuth and
 whose contiguous axis runs over the second photon's k. The sweep fills it

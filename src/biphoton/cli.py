@@ -92,9 +92,11 @@ def _write_csv(path, metadata, header, rows) -> None:
 
 
 def _write_json(path, payload) -> None:
+    # Serialized before the file opens, so a payload that json rejects
+    # leaves no partial file behind.
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _config_echo(cfg: RunConfig) -> dict:

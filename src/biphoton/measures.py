@@ -26,16 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
-from .amplitudes import AmplitudeFamily, AmplitudeModel
-from .grids import N_THETA, RadialGrid, angular_grid
-
 __all__ = [
     "SchmidtNumber",
     "SchmidtSpectrum",
     "entanglement_entropy",
     "schmidt_number",
-    "variance_K_estimate",
 ]
 
 COVERAGE_WARN = 0.999
@@ -150,45 +145,3 @@ def entanglement_entropy(lams) -> float:
     p = arr[arr > 0.0] / math.fsum(arr)
     return -math.fsum(p * np.log2(p))
 
-
-def variance_K_estimate(
-    model: AmplitudeModel,
-    grid: RadialGrid,
-    n_theta: int = N_THETA,
-) -> float:
-    """Schmidt number estimated from second moments of the intensity.
-
-    With V = <k^2> = <q^2> and W = <k q cos(dtheta)> taken over the
-    squared amplitude, the per-component variance identity gives
-    sqrt(K) = V / sqrt(V^2 - W^2); this function returns the square.
-    The identity is exact for the double-Gaussian family; for the sinc
-    family it is only a heuristic and a warning is raised.
-    """
-    if model.family is not AmplitudeFamily.DOUBLE_GAUSSIAN:
-        warnings.warn(
-            "variance identity derived for the double-Gaussian amplitude; "
-            "value reported as a heuristic",
-            stacklevel=2,
-        )
-    k = grid.nodes
-    h = n_theta // 2 + 1
-    _, cos_dtheta = angular_grid(n_theta)
-    mirror = _kernels.mirror_weights(n_theta)
-    cosine = mirror * cos_dtheta[:h]
-    wk = grid.weights * k
-    # The azimuth sums of every node pair are kept and reduced once, so
-    # the result does not depend on the tile height of the sweep. They
-    # read the distinct azimuth rows only, weighted by their mirrors.
-    plain = np.empty((grid.count, grid.count))
-    weighted = np.empty((grid.count, grid.count))
-    blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
-    for start, stop, out in blocks:
-        half = np.square(out[:, :h], out=out[:, :h])
-        np.matmul(mirror, half, out=plain[start:stop])
-        np.matmul(cosine, half, out=weighted[start:stop])
-    norm_sum = float(wk @ plain @ wk)
-    v_sum = float((wk * k * k) @ plain @ wk)
-    w_sum = float((wk * k) @ weighted @ (wk * k))
-    second = v_sum / norm_sum
-    cross = w_sum / norm_sum
-    return second * second / (second * second - cross * cross)

@@ -158,7 +158,8 @@ class RunConfig:
 
     decompose and apply_filter build one from their keywords, and the
     command line builds one from its flags and config file, so every bad
-    value fails here, before any amplitude is computed. At most one of
+    value fails here, before any amplitude is computed; that includes a
+    b_sigma whose square or 2 k_max^2 overflows. At most one of
     b_sigma and sweep is set; a command that needs the control parameter
     requires one of them. The defaults of kmax_factor, n_theta and
     sector_tol are the named constants that the stage functions' keyword
@@ -196,10 +197,23 @@ class RunConfig:
             raise ValueError("kmax_factor must be positive and finite")
         _check_angular(self.n_theta, self.m_max, self.sector_tol)
         _check_cutoff(self.mu_c)
+        if self.b_sigma is not None:
+            # The amplitude squares b_sigma and sums k^2 + q^2 up to k_max;
+            # a b_sigma that overflows either has no finite amplitude.
+            k_max = self._k_max()
+            if math.isinf(self.b_sigma * self.b_sigma) or math.isinf(2 * k_max * k_max):
+                raise ValueError(
+                    "b_sigma out of range: b_sigma^2 or 2 k_max^2 overflows"
+                )
 
     def settings(self, **changes) -> dict:
         """The numerical settings as decompose keywords, with changes applied."""
         return {s.field: getattr(self, s.field) for s in SETTINGS} | changes
+
+    def _k_max(self) -> float:
+        """Radial truncation at b_sigma, stretched when mu_c > 0."""
+        k_max = default_k_max(self.b_sigma, self.kmax_factor)
+        return k_max * FILTERED_KMAX_STRETCH if self.mu_c > 0.0 else k_max
 
     def radial_grid(self) -> RadialGrid:
         """Radial quadrature rule of a run at b_sigma.
@@ -209,11 +223,9 @@ class RunConfig:
         (so the hard filter never straddles quadrature nodes) and k_max is
         stretched because the surviving amplitude lives at larger k.
         """
-        k_hi = default_k_max(self.b_sigma, self.kmax_factor)
-        if self.mu_c > 0.0:
-            k_hi *= FILTERED_KMAX_STRETCH
-            if self.mu_c >= k_hi:
-                raise ValueError("cutoff exceeds the radial truncation")
+        k_hi = self._k_max()
+        if self.mu_c >= k_hi:
+            raise ValueError("cutoff exceeds the radial truncation")
         return build_radial_grid(self.grid_n, self.mu_c, k_hi)
 
 

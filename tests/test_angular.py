@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from sinc_oracle import converged_sinc_coefficients
 
 from biphoton import (
     AmplitudeModel,
+    RunConfig,
     _kernels,
     SectorKernel,
     adaptive_sectors,
@@ -15,6 +19,7 @@ from biphoton import (
     sector_coverage,
 )
 from biphoton.angular import _coefficient_pass, _scan_pass
+from biphoton.grids import N_THETA
 
 
 def test_requires_normalized_model(gauss_model_grid):
@@ -191,3 +196,50 @@ def test_sector_kernels_equal_their_transpose(family, t):
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     for kernel in angular_fourier(model, grid, 40, 512):
         assert np.array_equal(kernel.matrix, kernel.matrix.T)
+
+
+def _sinc_oracle_errors(t, mu_c, n_theta, orders, picks=12):
+    """Largest |G_m - oracle| over sampled node pairs, per m, over max |G_0|.
+
+    The coefficients are those of the unit-constant amplitude on the
+    run's own radial grid; the pairs are the upper triangle of picks
+    evenly spaced nodes, ends included. The oracle must agree with
+    itself on P and 2P panels to 1e-14 of max |G_0|.
+    """
+    grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
+    model = AmplitudeModel.from_b_sigma("sinc", t, cutoff=mu_c)
+    model = dataclasses.replace(model, norm_constant=1.0)
+    gcoef = _coefficient_pass(model, grid, n_theta, max(orders))
+    scale = np.abs(gcoef[0]).max()
+    picked = np.linspace(0, grid.count - 1, picks).round().astype(int)
+    rows, cols = np.triu_indices(picks)
+    i, j = picked[rows], picked[cols]
+    errors = {}
+    for m in orders:
+        reference = converged_sinc_coefficients(
+            grid.nodes[i], grid.nodes[j], t, m, grid.k_max, 1e-14 * scale
+        )
+        errors[m] = float(np.max(np.abs(gcoef[m, i, j] - reference)) / scale)
+    return errors
+
+
+@pytest.mark.parametrize("t, mu_c", [(0.2, 0.0), (0.5, 0.0), (1.0, 0.0), (0.5, 1.5)])
+def test_coefficient_pass_matches_the_sinc_oracle(t, mu_c):
+    # The default n_theta resolves every m <= 128 of these runs to
+    # round-off; the oracle shares no step with the azimuth grid.
+    errors = _sinc_oracle_errors(t, mu_c, N_THETA, (0, 1, 8, 64, 128))
+    assert max(errors.values()) <= 1e-13, errors
+
+
+def test_sinc_oracle_sees_angular_aliasing():
+    # At n_theta 256 the sinc 0.2 coefficients alias by ~2e-9 of max |G_0|,
+    # so the comparison above would catch an under-resolved pass.
+    assert _sinc_oracle_errors(0.2, 0.0, 256, (0,))[0] > 1e-10
+
+
+def test_sinc_oracle_asserts_its_convergence():
+    # 16 and 32 nodes cannot follow the 100 rad the integrand turns
+    # through at k = q = 20, t = 0.25.
+    k = np.array([20.0])
+    with pytest.raises(AssertionError, match="panels differ"):
+        converged_sinc_coefficients(k, k, 0.25, 0, 32.0, 1e-14, panels=1)

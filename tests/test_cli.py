@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -221,6 +222,18 @@ def test_invalid_run_parameters_exit_2(workdir):
     assert main(["sweep", "--family", "sinc", "--bsigma-range", "0.5:nan:3"]) == 2
     assert main(["oracle", "--bsigma", "inf"]) == 2
     assert main(["oracle", "--bsigma", "nan"]) == 2
+    # b_sigma^2 or 2 k_max^2 overflows: rejected before any arithmetic warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for b_sigma in ("1e300", "1e-300"):
+            assert main([*decompose, "--bsigma", b_sigma]) == 2
+            assert main(["oracle", "--bsigma", b_sigma]) == 2
+    assert not any(workdir.iterdir())
+
+
+def test_json_payload_that_json_rejects_leaves_no_file(workdir):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        biphoton.cli._write_json("out.json", {"K_analytic": float("inf")})
     assert not any(workdir.iterdir())
 
 

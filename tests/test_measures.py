@@ -1,19 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from biphoton import (
-    AmplitudeModel,
-    SchmidtSpectrum,
-    build_radial_grid,
-    default_k_max,
-    entanglement_entropy,
-    schmidt_number,
-    variance_K_estimate,
-)
-from biphoton import _kernels
+from biphoton import SchmidtSpectrum, entanglement_entropy, schmidt_number
 
 
 def test_schmidt_number_arithmetic():
@@ -104,31 +94,3 @@ def test_spectrum_invariant_checks():
             p_m_table={0: 1.0},
         )
 
-
-@pytest.mark.parametrize(("t", "expected"), [(0.25, 4.515625), (2.0, 1.5625)])
-def test_variance_identity_exact_for_gaussian(t, expected):
-    grid = build_radial_grid(200, 0.0, default_k_max(t))
-    model = AmplitudeModel.from_b_sigma("gaussian", t)
-    assert variance_K_estimate(model, grid) == pytest.approx(expected, rel=1e-9)
-
-
-def test_variance_estimate_warns_for_sinc():
-    grid = build_radial_grid(200, 0.0, default_k_max(0.25))
-    model = AmplitudeModel.from_b_sigma("sinc", 0.25)
-    with pytest.warns(UserWarning, match="heuristic"):
-        value = variance_K_estimate(model, grid)
-    # moment-based guess overshoots the true K ~ 10; it is reported as-is
-    assert value == pytest.approx(17.85, rel=1e-2)
-
-
-@pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.25)])
-def test_variance_estimate_is_independent_of_the_tile_height(monkeypatch, family, t):
-    grid = build_radial_grid(40, 0.0, default_k_max(t))
-    model = AmplitudeModel.from_b_sigma(family, t)
-    values = set()
-    for rows in (1, 3, 16, 40):
-        monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values.add(variance_K_estimate(model, grid))
-    assert len(values) == 1

@@ -22,18 +22,33 @@ from biphoton import (
 )
 
 
-@pytest.mark.parametrize(
-    "stage, keyword, setting",
-    [
-        ("normalize", "n_theta", "n_theta"),
-        ("angular_fourier", "n_theta", "n_theta"),
-        ("adaptive_sectors", "n_theta", "n_theta"),
-        ("variance_K_estimate", "n_theta", "n_theta"),
-        ("slice_intensity", "n_theta", "n_theta"),
-        ("adaptive_sectors", "sector_tol", "sector_tol"),
-        ("default_k_max", "factor", "kmax_factor"),
-    ],
-)
+RUN_DEFAULT_KEYWORDS = {
+    "n_theta": "n_theta",
+    "sector_tol": "sector_tol",
+    "factor": "kmax_factor",
+}
+"""Stage keywords whose default is a run setting, and the RunConfig field."""
+
+
+def _stage_defaults():
+    # Every public function with a defaulted run keyword, so a stage added
+    # or deleted later is covered without editing this list. A None
+    # default switches a check off (angular_fourier's sector_tol) and
+    # names no run setting.
+    for stage in biphoton.__all__:
+        function = getattr(biphoton, stage)
+        if not inspect.isfunction(function):
+            continue
+        parameters = inspect.signature(function).parameters
+        for keyword, setting in RUN_DEFAULT_KEYWORDS.items():
+            if keyword in parameters and parameters[keyword].default not in (
+                inspect.Parameter.empty,
+                None,
+            ):
+                yield stage, keyword, setting
+
+
+@pytest.mark.parametrize("stage, keyword, setting", list(_stage_defaults()))
 def test_stage_default_is_the_run_default(stage, keyword, setting):
     # A stage's keyword default names the same constant as RunConfig's
     # field, so the two never drift apart.
@@ -66,6 +81,19 @@ def test_runconfig_validation():
             RunConfig(kmax_factor=bad)
         with pytest.raises(ValueError, match="mu_c"):
             RunConfig(mu_c=bad)
+    # b_sigma^2 overflows above ~1.3e154, and 2 k_max^2 below ~8e-154
+    # at the default kmax_factor 8, or ~1.2e-153 once a filter stretches
+    # k_max by 1.5.
+    RunConfig(b_sigma=1e154)
+    RunConfig(b_sigma=1e-153)
+    for changes in (
+        {"b_sigma": 2e154},
+        {"b_sigma": 7e-154},
+        {"b_sigma": 1e-153, "mu_c": 1.0},
+        {"b_sigma": 1e-153, "kmax_factor": 16.0},
+    ):
+        with pytest.raises(ValueError, match="b_sigma out of range"):
+            RunConfig(**changes)
 
 
 def test_bad_settings_fail_before_any_fill(fill_shapes, gauss_model_grid):
