@@ -14,6 +14,21 @@ the grid shape. :func:`fill_amplitude_block` fills a tile with NumPy one
 radial row at a time, into workspaces the sweep allocates once, leaving
 the normalization constant to the caller.
 
+The formula needs xc = 2 k q cos(dtheta) only inside linear forms
+a s + b xc with s = k^2 + q^2: the sinc envelope's exponent -s - xc and
+argument s - xc, the double-Gaussian exponent -(1 + t^2) s +
+(t^2 - 1) xc. Each form of a radial row is one BLAS matrix product of
+the (n_theta // 2 + 1, 2) table [cos(dtheta_u), 1] (:func:`cos_table`)
+with the (2, N) block [[b 2 k_r k_j], [a s_j]], written straight into
+the tile row or a workspace; the pointwise evaluate and the
+equal-magnitude slice pass the same (table, 2 k q, s) description.
+OpenBLAS adds the two terms in order, so each value rounds as
+round(round(cos_u (b 2 k_r k_j)) + a s_j): the sinc forms are bitwise
+the broadcast passes over xc, and the double-Gaussian exponent differs
+from (t^2 - 1) xc - (1 + t^2) s only in where t^2 - 1 is rounded in. A
+product has no reduction for threads to split, so its bytes do not
+depend on the BLAS thread count.
+
 The fill is bitwise symmetric under the exchange of the two photons,
 k_i <-> k_j: both the sum k_i^2 + k_j^2 and the product 2 k_i k_j round
 the same either way. The sweeps' consumers therefore read only the
@@ -66,46 +81,69 @@ _LOG_CLAMP = _LOG_FLOOR - 1.0
 """Exponents are clamped here, so np.exp never leaves its fast range."""
 
 
-def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False):
-    """Unit-constant amplitude from the squared vector sums.
+def cos_table(cos):
+    """The left factor of :func:`amplitude`'s linear forms.
+
+    Row u of the (len(cos), 2) result is (cos_u, 1), so the matrix
+    product with the (2, N) block [[b 2 k q_j], [a s_j]] is the form
+    a s + b xc, xc = 2 k q cos(dtheta), on every (u, j) at once.
+    """
+    table = np.ones((np.size(cos), 2))
+    table[:, 0] = cos
+    return table
+
+
+def _form(table, two_kq, b, s, a, out):
+    """out[u, j] = round(round(cos_u (b 2kq_j)) + a s_j), one BLAS matrix product."""
+    return np.matmul(table, np.stack((b * two_kq, a * s)), out=out)
+
+
+def amplitude(
+    family, table, two_kq, s, t, out=None, half=None, work=None, live=None, descending=False
+):
+    """Unit-constant amplitude on a table of azimuths and a row of radial pairs.
 
     Parameters
     ----------
     family : AmplitudeFamily
         DOUBLE_GAUSSIAN or GAUSSIAN_SINC.
-    s : float or ndarray
-        k^2 + q^2, in pump-width units; broadcasts against xc.
-    xc : ndarray
-        2 k q cos(dtheta), so that |k + q|^2 = s + xc and
-        |k - q|^2 = s - xc. Used as workspace and overwritten.
+    table : ndarray, shape (n, 2)
+        ``cos_table(cos)`` of the azimuths' cos(dtheta_u).
+    two_kq, s : ndarray, shape (N,)
+        2 k q and k^2 + q^2 of each radial pair, in pump-width units, so
+        that |k + q|^2 = s + xc and |k - q|^2 = s - xc with
+        xc = 2 k q cos(dtheta).
     t : float
         Control parameter b_sigma.
     out : ndarray, optional
-        Destination, shaped like xc; allocated when omitted.
-    work : ndarray, optional
-        Workspace shaped like xc for tan(h) and 1 + tan^2(h) of the sinc
-        factor; allocated when omitted and the family is GAUSSIAN_SINC.
+        Destination, shape (n, N); allocated when omitted.
+    half, work : ndarray, optional
+        Workspaces shaped like out for the sinc factor's half-angle and
+        tan; allocated when omitted and the family is GAUSSIAN_SINC.
     live : ndarray of bool, optional
-        Workspace shaped like xc for the mask of values below the floor;
+        Workspace shaped like out for the mask of values below the floor;
         allocated when omitted.
     descending : bool, optional
-        True when xc never increases along its first axis in any column,
-        as in the fill's rows of 2 k q cos(dtheta_u), u = 0 .. n_theta // 2.
-        The double-Gaussian floor check then reads one row, see
-        :func:`_clears_floor`.
+        True when the table's cosines never increase, as in the fill's
+        cos(dtheta_u), u = 0 .. n_theta // 2. The double-Gaussian floor
+        check then reads one row, see :func:`_clears_floor`.
 
-    Returns exp(-|k + q|^2) times exp(-t^2 |k - q|^2) or
+    Returns out[u, j], exp(-|k + q|^2) times exp(-t^2 |k - q|^2) or
     sinc(t^2 |k - q|^2), with sinc(0) = 1, and zero wherever that
-    magnitude is below _FLOOR = 2^-900. The double-Gaussian product is
-    a single exponential of -(1 + t^2) s - (1 - t^2) xc, three array
-    operations per value on a row that stays above the floor. The sinc
-    factor sin(x) / x is taken as tan(h) / ((1 + tan^2 h) h) with
-    h = x / 2, an exact identity: NumPy's float64 tan runs a vector
-    loop where the CPU has one (AVX-512), at a fifth to a tenth of the
-    cost of its scalar sin. It runs over every entry, with no mask.
-    Everything is computed in out, xc, work and live because this is
-    the inner loop of every grid integral, and fresh row-sized
-    temporaries cost more in page faults than in arithmetic.
+    magnitude is below _FLOOR = 2^-900. Every linear combination
+    a s + b xc the formula needs is one matrix product of the table with
+    [[b 2kq], [a s]] (:func:`_form`), written straight into out or a
+    workspace. The double-Gaussian product is a single exponential of
+    -(1 + t^2) s + (t^2 - 1) xc, one product and one exp per value on a
+    row that stays above the floor. The sinc envelope's exponent is
+    -s - xc and its argument s - xc. The factor sin(x) / x is taken as
+    tan(h) / ((1 + tan^2 h) h) with h = x / 2, an exact identity:
+    NumPy's float64 tan runs a vector loop where the CPU has one
+    (AVX-512), at a fifth to a tenth of the cost of its scalar sin. It
+    runs over every entry, with no mask. Everything is computed in out,
+    half, work and live because this is the inner loop of every grid
+    integral, and fresh row-sized temporaries cost more in page faults
+    than in arithmetic.
 
     The floor keeps the arithmetic on fast paths. np.exp slows about
     tenfold where its result underflows to zero and about a
@@ -115,24 +153,26 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
     (those of a sinc 0.25 run ran at half speed), are flushed. Every
     value at or above the floor is bitwise the unclamped formula.
     """
+    shape = (len(table), np.size(two_kq))
     if out is None:
-        out = np.empty_like(xc)
+        out = np.empty(shape)
     if live is None:
-        live = np.empty(out.shape, dtype=bool)
+        live = np.empty(shape, dtype=bool)
     t2 = t * t
     if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
-        np.multiply(xc, t2 - 1.0, out=out)
-        out -= (1.0 + t2) * s
+        _form(table, two_kq, t2 - 1.0, s, -(1.0 + t2), out)
         if _clears_floor(out, t2, descending):
             return np.exp(out, out=out)
         np.maximum(out, _LOG_CLAMP, out=out)
         np.exp(out, out=out)
         np.copyto(out, 0.0, where=np.less(out, _FLOOR, out=live))
         return out
+    if half is None:
+        half = np.empty(shape)
     if work is None:
-        work = np.empty_like(xc)
-    # -s - xc is bitwise -(s + xc) up to the sign of a zero, in one pass.
-    np.subtract(np.negative(s), xc, out=out)
+        work = np.empty(shape)
+    # -|k + q|^2, bitwise -(s + xc) up to the sign of a zero.
+    _form(table, two_kq, -1.0, s, -1.0, out)
     # An exponent below log(_FLOOR) gives an envelope below _FLOOR, so
     # no entry needs a mask: a dead one keeps exp(_LOG_CLAMP) = _FLOOR / e
     # (or its own exp, just below _FLOOR), the factor raises no magnitude
@@ -146,7 +186,7 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
     # normal double gives a factor of exactly 1 at the removable
     # singularity, and at any rounding-negative argument. No double lies
     # on a pole of tan, and |tan| stays far below sqrt(max double) there.
-    half = np.subtract(s, xc, out=xc)
+    _form(table, two_kq, -1.0, s, 1.0, half)
     half *= 0.5 * t2
     np.maximum(half, _TINY, out=half)
     np.tan(half, out=work)
@@ -157,7 +197,7 @@ def amplitude(family, s, xc, t, out=None, work=None, live=None, descending=False
     out *= half
     # A small sinc factor can take a live envelope below the floor too,
     # so the sinc family flushes every row.
-    np.less(np.abs(out, out=xc), _FLOOR, out=live)
+    np.less(np.abs(out, out=half), _FLOOR, out=live)
     np.copyto(out, 0.0, where=live)
     return out
 
@@ -167,9 +207,10 @@ def _clears_floor(exponent, t2, descending):
 
     Such an array has every value above e * _FLOOR, so :func:`amplitude`
     skips the clamp and the flush. The rounded exponent
-    (t^2 - 1) xc - (1 + t^2) s is monotone in xc for fixed s, so when xc
-    descends along the first axis the minimum of every column lies in
-    the last row for t > 1 and in the first row otherwise; only that row
+    round(round(cos_u (t^2 - 1) 2kq) - (1 + t^2) s) is monotone in cos_u
+    for a fixed column, so when the cosines descend along the first axis
+    the minimum of every column lies in the last row for t > 1 and in the
+    first row otherwise (at t = 1 every row is the same); only that row
     is read.
     """
     if descending:
@@ -195,14 +236,14 @@ def mirror_weights(n_theta):
 def fill_workspace(n, n_theta):
     """Workspaces for :func:`fill_amplitude_block` on rows of n radial nodes.
 
-    Returns (c, xc, work, live): the distinct half of the cosine table
-    and three (n_theta // 2 + 1, n) buffers. A sweep allocates them once
-    and hands them to every fill call.
+    Returns (table, half, work, live): ``cos_table`` of the distinct
+    half of the cosine table and three (n_theta // 2 + 1, n) buffers. A
+    sweep allocates them once and hands them to every fill call.
     """
     h = n_theta // 2 + 1
     _, cos_dtheta = angular_grid(n_theta)
     return (
-        cos_dtheta[:h].copy(),
+        cos_table(cos_dtheta[:h]),
         np.empty((h, n)),
         np.empty((h, n)),
         np.empty((h, n), dtype=bool),
@@ -214,8 +255,9 @@ def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
 
     The azimuths are ``angular_grid(out.shape[1])``. Per radial row the
     formula runs straight into the distinct rows u = 0 .. n_theta // 2 of
-    out[r]; row u > n_theta // 2 is a copy of row n_theta - u, which
-    holds the same cosine, made as one block copy.
+    out[r], from the workspace's cosine table, 2 k_rows[r] k and
+    k_rows[r]^2 + k^2; row u > n_theta // 2 is a copy of row
+    n_theta - u, which holds the same cosine, made as one block copy.
 
     Parameters
     ----------
@@ -235,15 +277,13 @@ def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
     h = n_theta // 2 + 1
     if workspace is None:
         workspace = fill_workspace(k.size, n_theta)
-    c, xc, work, live = workspace
+    table, half, work, live = workspace
     for r, kr in enumerate(k_rows):
-        s = kr * kr + k * k
-        # The outer product through einsum is bitwise the broadcast
-        # c[:, None] * x and puts k on the contiguous axis, so the
-        # per-column s of the formula broadcasts along whole rows.
-        np.einsum("u,j->uj", c, 2.0 * kr * k, out=xc)
         row = out[r]
-        amplitude(family, s, xc, t, out=row[:h], work=work, live=live, descending=True)
+        amplitude(
+            family, table, 2.0 * kr * k, kr * kr + k * k, t,
+            out=row[:h], half=half, work=work, live=live, descending=True,
+        )
         row[h:] = row[n_theta - h : 0 : -1]
 
 

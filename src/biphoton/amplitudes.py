@@ -146,9 +146,10 @@ def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) ->
         return 0.0
     ka = k.k_mag / model.sigma_perp
     qa = q.k_mag / model.sigma_perp
-    s = ka * ka + qa * qa
-    xc = 2.0 * ka * qa * math.cos(k.theta - q.theta)
-    value = _kernels.amplitude(model.family, s, np.array([xc]), model.b_sigma)[0]
+    table = _kernels.cos_table(math.cos(k.theta - q.theta))
+    two_kq = np.array([2.0 * ka * qa])
+    s = np.array([ka * ka + qa * qa])
+    value = _kernels.amplitude(model.family, table, two_kq, s, model.b_sigma)[0, 0]
     return model.norm_constant * float(value)
 
 
@@ -188,6 +189,8 @@ def normalize(model: AmplitudeModel, grid: RadialGrid, n_theta: int = N_THETA) -
     that starts at the cutoff instead of relying on step-function zeros.
     """
     integral = unit_norm_integral(model, grid, n_theta)
+    if not math.isfinite(integral):
+        raise ValueError("norm integral overflows; b_sigma or k_max out of range")
     if not integral > 1e-300:
         raise ValueError("norm integral vanishes; degenerate parameters")
     unit_constant = 1.0 / math.sqrt(integral)

@@ -120,10 +120,11 @@ def slice_intensity(
     """
     k = np.asarray(k_values, dtype=float)
     dtheta, cos_dtheta = angular_grid(n_theta)
-    # With q = k, s = 2 k^2 and xc = 2 k^2 cos(dtheta), rounded as in the tensor fill.
-    two_k2 = 2.0 * (k * k)[:, np.newaxis]
-    shape = _kernels.amplitude(model.family, two_k2, two_k2 * cos_dtheta, model.b_sigma)
-    intensity = shape * shape
+    # With q = k, 2 k q and s are both 2 k^2, as in the tensor fill.
+    two_k2 = 2.0 * (k * k)
+    table = _kernels.cos_table(cos_dtheta)
+    shape = _kernels.amplitude(model.family, table, two_k2, two_k2, model.b_sigma)
+    intensity = np.square(shape.T, order="C")
     if model.cutoff > 0.0:
         intensity[k < model.cutoff / model.sigma_perp, :] = 0.0
     peak = intensity.max()

@@ -34,6 +34,7 @@ from .grids import (
     build_radial_grid,
     default_k_max,
 )
+from .gaussian import analytic_K
 from .measures import SchmidtSpectrum, _check_coverage_and_k, _warn_low_coverage
 from .schmidt import SectorSpectrum, assemble_spectrum, decompose_sector, sector_purity
 
@@ -159,9 +160,10 @@ class RunConfig:
     decompose and apply_filter build one from their keywords, and the
     command line builds one from its flags and config file, so every bad
     value fails here, before any amplitude is computed; that includes a
-    b_sigma whose square or 2 k_max^2 overflows. At most one of
-    b_sigma and sweep is set; a command that needs the control parameter
-    requires one of them. The defaults of kmax_factor, n_theta and
+    b_sigma whose square, 2 k_max^2, the norm integral's radial weight
+    products or the closed-form K overflows. At most one of b_sigma and
+    sweep is set; a command that needs the control parameter requires
+    one of them. The defaults of kmax_factor, n_theta and
     sector_tol are the named constants that the stage functions' keyword
     defaults use too. The rules on n_theta, m_max and sector_tol are
     angular's, the grid_n rule is grids' and the mu_c rule is that of
@@ -198,12 +200,18 @@ class RunConfig:
         _check_angular(self.n_theta, self.m_max, self.sector_tol)
         _check_cutoff(self.mu_c)
         if self.b_sigma is not None:
-            # The amplitude squares b_sigma and sums k^2 + q^2 up to k_max;
-            # a b_sigma that overflows either has no finite amplitude.
+            # The amplitude squares b_sigma and sums k^2 + q^2 up to k_max.
+            # The norm integral weighs each pair by w_i k_i w_j k_j, at most
+            # (k_max (k_max - mu_c))^2 since the Gauss-Legendre weights sum
+            # to k_max - mu_c, and the oracle reports the closed-form K.
+            # A b_sigma that overflows any of them has no finite result.
             k_max = self._k_max()
-            if math.isinf(self.b_sigma * self.b_sigma) or math.isinf(2 * k_max * k_max):
+            wk = k_max * (k_max - self.mu_c)
+            bounds = (self.b_sigma * self.b_sigma, 2 * k_max * k_max, wk * wk)
+            if any(map(math.isinf, bounds)) or math.isinf(analytic_K(self.b_sigma)):
                 raise ValueError(
-                    "b_sigma out of range: b_sigma^2 or 2 k_max^2 overflows"
+                    "b_sigma out of range: b_sigma^2, 2 k_max^2, "
+                    "(k_max (k_max - mu_c))^2 or the closed-form K overflows"
                 )
 
     def settings(self, **changes) -> dict:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import biphoton
 from biphoton import (
     AmplitudeFamily,
     AmplitudeModel,
@@ -140,14 +144,16 @@ def test_gaussian_amplitude_is_the_two_factor_product():
     # exceeds the exponent itself.
     rng = np.random.default_rng(5)
     for t in (0.2, 0.5, 1.0, 1.25, 2.5):
-        k, q = rng.uniform(0.0, 8.0 / min(t, 1.0), size=(2, 2000))
-        cos = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=2000))
-        s = k * k + q * q
-        xc = 2.0 * k * q * cos
+        k, q = rng.uniform(0.0, 8.0 / min(t, 1.0), size=(2, 500))
+        cos = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=8))
+        two_kq, s = 2.0 * k * q, k * k + q * q
+        xc = cos[:, None] * two_kq
         plus, minus = s + xc, s - xc
         exponent = plus + t * t * minus
         expected = np.exp(-plus) * np.exp(-t * t * minus)
-        value = _kernels.amplitude(AmplitudeFamily.DOUBLE_GAUSSIAN, s, xc.copy(), t)
+        table = _kernels.cos_table(cos)
+        value = _kernels.amplitude(AmplitudeFamily.DOUBLE_GAUSSIAN, table, two_kq, s, t)
+        s = np.broadcast_to(s, xc.shape)
         # An exponent beyond log(1 / _FLOOR) = 900 log 2 gives a value
         # below the floor, which is flushed to zero.
         normal = exponent < -math.log(_kernels._FLOOR)
@@ -167,7 +173,7 @@ def test_amplitude_returns_no_subnormal_values(family):
     s = 0.5 * plus + 1.0
     xc = 0.5 * plus - 1.0
     family = AmplitudeFamily(family)
-    value = _kernels.amplitude(family, s, xc, 0.3, work=np.empty_like(s))
+    value = _kernels.amplitude(family, _kernels.cos_table([1.0]), xc, s, 0.3)[0]
     magnitude = np.abs(value)
     assert np.all((magnitude == 0.0) | (magnitude >= _kernels._FLOOR))
     assert np.count_nonzero(magnitude) > 0 and np.count_nonzero(magnitude == 0.0) > 0
@@ -187,12 +193,16 @@ def _plain_half(family, k_rows, k, t, n_theta):
     """The amplitude formula on columns 0 .. n_theta // 2, unclamped and unmasked."""
     _, cos_dtheta = angular_grid(n_theta)
     s = (k_rows[:, None] * k_rows[:, None] + k * k)[:, :, None]
-    xc = (2.0 * k_rows[:, None] * k)[:, :, None] * cos_dtheta[: n_theta // 2 + 1]
+    two_kq = (2.0 * k_rows[:, None] * k)[:, :, None]
+    cos = cos_dtheta[: n_theta // 2 + 1]
     t2 = t * t
     if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
-        exponent = xc * (t2 - 1.0)
-        exponent -= (1.0 + t2) * s
+        # (t^2 - 1) 2 k q times the cosine, then -(1 + t^2) s added, each
+        # rounded once, as the fill's matrix product takes it.
+        exponent = ((t2 - 1.0) * two_kq) * cos
+        exponent += -(1.0 + t2) * s
         return np.exp(exponent)
+    xc = two_kq * cos
     # sin(x) / x through tan(h) with h = x / 2, as the fill takes it.
     half = np.maximum((s - xc) * (0.5 * t2), np.finfo(float).tiny)
     tan = np.tan(half)
@@ -200,15 +210,28 @@ def _plain_half(family, k_rows, k, t, n_theta):
 
 
 @pytest.mark.parametrize(
-    "family, t", [("sinc", 0.25), ("sinc", 0.5), ("gaussian", 2.5), ("gaussian", 0.5)]
+    "family, t",
+    [
+        ("sinc", 0.25),
+        ("sinc", 0.5),
+        ("gaussian", 2.5),
+        ("gaussian", 0.5),
+        ("gaussian", 0.999),
+        ("gaussian", 1.0),
+        ("gaussian", 1.001),
+    ],
 )
 def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     # The clamp and the gaussian row shortcut change no value at or
     # above the floor and leave no nonzero value below it.
-    # Both gaussian cases have rows that never reach the floor, which
-    # skip the clamp and the flush.
+    # Every gaussian case has rows that never reach the floor, which
+    # skip the clamp and the flush, and rows that do. Near t = 1, where
+    # t^2 - 1 changes sign and with it the azimuth row the shortcut
+    # reads, the exponent is about -2 s, so those cases take a grid to
+    # k = 13, on which rows beyond k = 11.9 reach the floor.
     family = AmplitudeFamily(family)
-    grid = build_radial_grid(200, 0.0, default_k_max(t))
+    k_max = default_k_max(t) if abs(t * t - 1.0) > 0.01 else 13.0
+    grid = build_radial_grid(200, 0.0, k_max)
     k_rows = grid.nodes[::9]
     n_theta = 512
     out = np.full((k_rows.size, n_theta, grid.count), np.nan)
@@ -257,14 +280,15 @@ def test_sinc_factor_at_zero_and_at_multiples_of_pi(t):
     eps = np.finfo(float).eps
     k = np.linspace(0.0, 3.0, 31)
     s = 2.0 * k * k
-    value = _kernels.amplitude(AmplitudeFamily.GAUSSIAN_SINC, s, s.copy(), t)
+    one = _kernels.cos_table([1.0])
+    value = _kernels.amplitude(AmplitudeFamily.GAUSSIAN_SINC, one, s, s, t)[0]
     assert np.array_equal(value, np.exp(-2.0 * s))
     n = np.arange(1.0, 400.0)
     minus = n * np.pi / (t * t)
     plus = np.full_like(minus, 1.0)
     value = _kernels.amplitude(
-        AmplitudeFamily.GAUSSIAN_SINC, 0.5 * (plus + minus), 0.5 * (plus - minus), t
-    )
+        AmplitudeFamily.GAUSSIAN_SINC, one, 0.5 * (plus - minus), 0.5 * (plus + minus), t
+    )[0]
     arg = (0.5 * (plus + minus) - 0.5 * (plus - minus)) * (t * t)
     expected = np.exp(-plus) * (np.sin(arg) / arg)
     assert np.all(np.isfinite(value))
@@ -283,23 +307,32 @@ def test_sinc_fill_raises_no_floating_point_exception(t, mu_c):
             assert np.all(np.isfinite(block))
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0, 1.8, 2.5])
+@pytest.mark.parametrize("t", [0.5, 0.999, 1.0, 1.001, 1.8, 2.5])
 def test_gaussian_floor_check_reads_the_extreme_azimuth_row(t):
     # The fill's exponent rows run over descending cos(dtheta); the check
-    # that reads one of them decides as the minimum over all of them. At
-    # t = 1 the exponent -2 s never nears the floor on the default grid.
-    grid = build_radial_grid(200, 0.0, default_k_max(t))
-    k = grid.nodes
-    c = _kernels.fill_workspace(k.size, 512)[0]
+    # that reads one of them decides as the minimum over all of them.
+    # Near t = 1 the exponent is about -2 s and the extreme rows differ
+    # by |t^2 - 1| 4 k q, so the rows that straddle the floor lie in a
+    # narrow band: on a grid to k = 13, radial rows 0.0025 apart across
+    # 11.5 .. 12.5 put about ten rows between the two extreme rows'
+    # decisions when t^2 - 1 is 0.002 either way.
+    if abs(t * t - 1.0) > 0.01:
+        k = build_radial_grid(200, 0.0, default_k_max(t)).nodes
+        rows = k
+    else:
+        k = build_radial_grid(200, 0.0, 13.0).nodes
+        rows = np.linspace(11.5, 12.5, 401)
+    c = angular_grid(512)[1][:257, None]
     t2 = t * t
     decisions = set()
-    for kr in k:
-        exponent = np.einsum("u,j->uj", c, 2.0 * kr * k) * (t2 - 1.0)
-        exponent -= (1.0 + t2) * (kr * kr + k * k)
+    for kr in rows:
+        # The exponent as the fill rounds it, see _plain_half.
+        exponent = c * ((t2 - 1.0) * (2.0 * kr * k))
+        exponent += -(1.0 + t2) * (kr * kr + k * k)
         expected = bool(exponent.min() >= _kernels._LOG_FLOOR + 1.0)
         assert _kernels._clears_floor(exponent, t2, descending=True) == expected
         decisions.add(expected)
-    assert decisions == ({True} if t == 1.0 else {True, False})
+    assert decisions == {True, False}
 
 
 @pytest.mark.parametrize("family", ["gaussian", "sinc"])
@@ -310,14 +343,15 @@ def test_amplitude_ignores_stale_workspaces(family):
     _, cos_dtheta = angular_grid(512)
     kr = k[150]
     family = AmplitudeFamily(family)
-    s = (kr * kr + k * k)[:, None]
-    xc = (2.0 * kr * k)[:, None] * cos_dtheta[:257]
-    fresh = _kernels.amplitude(family, s, xc.copy(), 0.25)
+    table = _kernels.cos_table(cos_dtheta[:257])
+    row = (table, 2.0 * kr * k, kr * kr + k * k, 0.25)
+    fresh = _kernels.amplitude(family, *row)
     assert 0 < np.count_nonzero(fresh) < fresh.size
     for stale in (True, False):
-        work = np.full_like(xc, np.nan)
-        live = np.full(xc.shape, stale)
-        value = _kernels.amplitude(family, s, xc.copy(), 0.25, work=work, live=live)
+        half = np.full_like(fresh, np.nan)
+        work = np.full_like(fresh, np.nan)
+        live = np.full(fresh.shape, stale)
+        value = _kernels.amplitude(family, *row, half=half, work=work, live=live)
         assert np.array_equal(value, fresh)
 
 
@@ -381,6 +415,38 @@ def test_fill_is_symmetric_under_photon_exchange(family, t):
     assert np.array_equal(out, out.transpose(2, 1, 0))
 
 
+_FILL_DIGEST = """
+import hashlib, sys
+import numpy as np
+from biphoton import AmplitudeFamily, build_radial_grid, default_k_max, _kernels
+family, t = AmplitudeFamily(sys.argv[1]), float(sys.argv[2])
+k = build_radial_grid(1200, 0.0, default_k_max(t)).nodes
+out = np.empty((2, 1024, k.size))
+_kernels.fill_amplitude_block(out, family, k[300::600], k, t)
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.25)])
+def test_fill_bytes_do_not_depend_on_the_blas_thread_count(family, t):
+    # Each fill row's forms are one BLAS matrix product. OpenBLAS 0.3.31
+    # keeps a (513, 2) x (2, 400) product on one thread, but splits the
+    # (513, 2) x (2, 1200) product of n_theta 1024 and N 1200 over two
+    # (seen in the per-thread CPU ticks).
+    source = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FILL_DIGEST, family, str(t)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
+
+
 def test_row_tiles_fit_the_byte_budget():
     assert _kernels.tile_rows(200, 512) == 2
     assert _kernels.tile_rows(40, 512) == 12
@@ -437,6 +503,16 @@ def test_normalize_rejects_vanishing_integral():
     grid = build_radial_grid(10, 60.0, 70.0)  # far outside the support
     with pytest.raises(ValueError, match="norm integral vanishes"):
         normalize(model, grid, 64)
+
+
+def test_normalize_rejects_an_overflowing_integral():
+    # At b_sigma 1e-80 the radial weights w_i k_i reach ~1e159, so their
+    # products overflow; 1 / sqrt(inf) = 0 must not become the constant.
+    model = AmplitudeModel.from_b_sigma("gaussian", 1e-80)
+    grid = build_radial_grid(20, 0.0, default_k_max(1e-80))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="norm integral overflows"):
+            normalize(model, grid, 64)
 
 
 def test_crystal_b():

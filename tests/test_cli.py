@@ -211,7 +211,7 @@ def test_decompose_rejects_family_both(workdir, capsys):
     assert "family" in capsys.readouterr().err
 
 
-def test_invalid_run_parameters_exit_2(workdir):
+def test_invalid_run_parameters_exit_2(workdir, capsys):
     assert main(["decompose", "--family", "sinc", "--bsigma", "-1"]) == 2
     assert main(["decompose", "--family", "sinc", "--bsigma", "1", "--ntheta", "100"]) == 2
     # non-finite values fail validation instead of reaching the numerics
@@ -222,12 +222,20 @@ def test_invalid_run_parameters_exit_2(workdir):
     assert main(["sweep", "--family", "sinc", "--bsigma-range", "0.5:nan:3"]) == 2
     assert main(["oracle", "--bsigma", "inf"]) == 2
     assert main(["oracle", "--bsigma", "nan"]) == 2
-    # b_sigma^2 or 2 k_max^2 overflows: rejected before any arithmetic warns
+    # b_sigma^2, 2 k_max^2, the norm integral's k_max^4 or the closed-form
+    # K overflows: rejected before any arithmetic warns
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for b_sigma in ("1e300", "1e-300"):
             assert main([*decompose, "--bsigma", b_sigma]) == 2
             assert main(["oracle", "--bsigma", b_sigma]) == 2
+        assert main([*decompose, "--bsigma", "1e-100"]) == 2
+        gaussian = ["decompose", "--family", "gaussian", "--grid-n", "20", "--ntheta", "64"]
+        assert main([*gaussian, "--bsigma", "1e-80"]) == 2
+        for factor in ("1e-10", "1e-100"):
+            assert main(["oracle", "--bsigma", "1e-160", "--kmax-factor", factor]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert sum("b_sigma out of range" in line for line in errors) == 8
     assert not any(workdir.iterdir())
 
 

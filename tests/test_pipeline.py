@@ -81,16 +81,20 @@ def test_runconfig_validation():
             RunConfig(kmax_factor=bad)
         with pytest.raises(ValueError, match="mu_c"):
             RunConfig(mu_c=bad)
-    # b_sigma^2 overflows above ~1.3e154, and 2 k_max^2 below ~8e-154
-    # at the default kmax_factor 8, or ~1.2e-153 once a filter stretches
-    # k_max by 1.5.
+    # b_sigma^2 overflows above ~1.3e154. The norm integral's weight
+    # products, bounded by k_max^4, overflow below ~6.9e-77 at the default
+    # kmax_factor 8, or ~1.04e-76 once a filter stretches k_max by 1.5. The
+    # closed-form K overflows below ~3.7e-155, which only a small
+    # kmax_factor lets past the k_max rule.
     RunConfig(b_sigma=1e154)
-    RunConfig(b_sigma=1e-153)
+    RunConfig(b_sigma=1e-76)
+    RunConfig(b_sigma=4e-155, kmax_factor=1e-100)
     for changes in (
         {"b_sigma": 2e154},
-        {"b_sigma": 7e-154},
-        {"b_sigma": 1e-153, "mu_c": 1.0},
-        {"b_sigma": 1e-153, "kmax_factor": 16.0},
+        {"b_sigma": 6.5e-77},
+        {"b_sigma": 1e-76, "mu_c": 1.0},
+        {"b_sigma": 1e-76, "kmax_factor": 16.0},
+        {"b_sigma": 3.5e-155, "kmax_factor": 1e-100},
     ):
         with pytest.raises(ValueError, match="b_sigma out of range"):
             RunConfig(**changes)
