@@ -16,18 +16,23 @@ Only m >= 0 is stored; the amplitude is real and even in the relative
 azimuth, so P_m = P_{-m} and the kernels coincide. The amplitude is also
 exactly symmetric under the exchange of the two photons, so both passes
 project only the upper triangle j >= i of each row tile: the scan weighs
-the pairs off the tile twice, and the coefficient pass copies the lower
-triangle from the upper one, which makes every kernel exactly symmetric.
+the pairs off the tile twice, and the coefficient pass stores each kernel
+as that triangle alone, row-packed in N (N + 1) / 2 values (the LAPACK
+packed storage of a symmetric matrix). SectorKernel is the one place that
+knows this layout; it expands a kernel into its full, exactly symmetric
+matrix when one is read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .amplitudes import AmplitudeModel, _require_normalized
+from .amplitudes import AmplitudeModel, _require_normalized, normalize
 from .grids import N_THETA, RadialGrid, angular_grid
 
 __all__ = [
@@ -62,9 +67,39 @@ def _check_angular(n_theta, m_max=None, sector_tol=None):
         raise ValueError("sector_tol must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+class _Packing(NamedTuple):
+    """Index arrays of the row-packed upper triangle of an N x N matrix.
+
+    Entry p of the packing is the p-th entry (i, j) with j >= i in row
+    order: row i starts at position i N - i (i - 1) / 2 and holds the
+    N - i entries j = i .. N - 1.
+    """
+
+    upper: np.ndarray
+    """Flat position i N + j of packed entry p, shape (N (N + 1) / 2,)."""
+    full: np.ndarray
+    """Packed position of entry (min(i, j), max(i, j)), shape (N, N)."""
+
+
+@functools.lru_cache(maxsize=8)
+def _packing(n: int) -> _Packing:
+    """The packing of an N x N matrix, built once per N; its arrays are read-only."""
+    rows, cols = np.triu_indices(n)
+    full = np.empty((n, n), dtype=np.intp)
+    full[rows, cols] = full[cols, rows] = np.arange(rows.size)
+    upper = rows * n + cols
+    upper.setflags(write=False)
+    full.setflags(write=False)
+    return _Packing(upper, full)
+
+
+@dataclass(frozen=True, init=False)
 class SectorKernel:
     """One orbital-angular-momentum sector of the amplitude.
+
+    SectorKernel(m, p_m, matrix, grid) takes a full N x N matrix on the
+    grid's N nodes. It must be finite and symmetric to 1e-10, and its
+    upper triangle is what the kernel keeps.
 
     Attributes
     ----------
@@ -74,19 +109,47 @@ class SectorKernel:
         Probability of finding the pair with quantum numbers (m, -m).
         Stored per signed m: summing over all integers m requires
         p_0 + 2 * sum over m > 0.
-    matrix : ndarray
-        Symmetric N x N Nystrom matrix sqrt(w_i k_i) F_m(k_i, k_j)
-        sqrt(w_j k_j) with unit Frobenius norm and the sign of F_m. The
-        kernels of one angular_fourier call are contiguous views of a
-        single sector-major array.
+    packed : ndarray
+        The upper triangle j >= i of the symmetric N x N Nystrom matrix
+        sqrt(w_i k_i) F_m(k_i, k_j) sqrt(w_j k_j), row by row in
+        N (N + 1) / 2 values. The matrix has unit Frobenius norm and the
+        sign of F_m. The kernels of one angular_fourier call are
+        contiguous rows of a single sector-major array.
     grid : RadialGrid
         Radial quadrature rule the matrix was built on.
+    model : AmplitudeModel or None
+        The normalized model whose constant p_m was scaled with; None for
+        a kernel built from a matrix.
     """
 
     m: int
     p_m: float
-    matrix: np.ndarray = field(repr=False)
+    packed: np.ndarray = field(repr=False)
     grid: RadialGrid = field(repr=False)
+    model: AmplitudeModel | None = field(repr=False)
+
+    def __init__(self, m: int, p_m: float, matrix, grid: RadialGrid):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (grid.count, grid.count):
+            raise ValueError("sector kernel must be N x N on the grid's N nodes")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("sector kernel contains non-finite entries")
+        asym = float(np.max(np.abs(matrix - matrix.T)))
+        if asym > 1e-10:
+            raise ValueError(f"sector kernel asymmetric beyond tolerance ({asym:.3e})")
+        packed = matrix.take(_packing(grid.count).upper)
+        _set_fields(self, m, p_m, packed, grid, None)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full symmetric N x N matrix, built anew on each read."""
+        return self.packed[_packing(self.grid.count).full]
+
+
+def _set_fields(kernel, *values):
+    """Set the fields of a frozen SectorKernel, in declaration order."""
+    for name, value in zip(("m", "p_m", "packed", "grid", "model"), values):
+        object.__setattr__(kernel, name, value)
 
 
 def _cosine_projections(model, grid, n_theta, m_keep):
@@ -142,19 +205,19 @@ def _scan_pass(model, grid, n_theta):
 def _coefficient_pass(model, grid, n_theta, m_keep):
     """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
 
-    The result is sector-major, shape (m_keep + 1, N, N), so that G_m is
-    the contiguous block gcoef[m]. Each tile's m-major projection fills
-    its rows from the diagonal on; the triangle below is then copied
-    from the transpose, one sector at a time while it is in cache, so
-    every G_m is exactly symmetric.
+    The result is sector-major, shape (m_keep + 1, N (N + 1) / 2): row m
+    is the upper triangle of G_m, packed row by row as SectorKernel keeps
+    it. Each radial row i of a tile stores its projections from the
+    diagonal on, j = i .. N - 1, straight into its packed rows.
     """
     n = grid.count
-    gcoef = np.empty((m_keep + 1, n, n))
+    gcoef = np.empty((m_keep + 1, n * (n + 1) // 2))
     for start, stop, coef in _cosine_projections(model, grid, n_theta, m_keep):
-        gcoef[:, start:stop, start:] = coef.transpose(1, 0, 2)
-    lower = np.tri(n, n, -1, dtype=bool)
-    for g in gcoef:
-        np.copyto(g, g.T, where=lower)
+        offset = start * n - start * (start - 1) // 2
+        for r in range(stop - start):
+            width = n - start - r
+            gcoef[:, offset : offset + width] = coef[r, :, r:]
+            offset += width
     return gcoef
 
 
@@ -186,25 +249,31 @@ def angular_fourier(
     _require_normalized(model)
     _check_angular(n_theta, m_max, sector_tol)
     gcoef = _coefficient_pass(model, grid, n_theta, m_max)
+    packing = _packing(grid.count)
     sqwk = np.sqrt(grid.weights * grid.nodes)
-    gcoef *= _TWO_PI * np.outer(sqwk, sqwk)
+    gcoef *= (_TWO_PI * np.outer(sqwk, sqwk)).take(packing.upper)
     p_m = []
-    for matrix in gcoef:
+    for packed in gcoef:
+        # Summed over the full matrix in its entry order, P_m does not
+        # depend on the packing.
+        matrix = packed[packing.full]
         p_m.append(float(np.sum(matrix * matrix)))
         if p_m[-1] > 0.0:
-            matrix /= np.sqrt(p_m[-1])
-    sectors = _sector_views(gcoef, p_m, grid)
+            packed /= np.sqrt(p_m[-1])
+    sectors = _sector_views(gcoef, p_m, grid, model)
     if sector_tol is not None and sector_coverage(sectors) < 1.0 - sector_tol:
         raise ValueError("m_max too small")
     return sectors
 
 
-def _sector_views(gcoef, p_m, grid):
+def _sector_views(gcoef, p_m, grid, model):
     """One SectorKernel per leading row gcoef[m], a view of gcoef."""
-    return [
-        SectorKernel(m=m, p_m=p, matrix=matrix, grid=grid)
-        for m, (p, matrix) in enumerate(zip(p_m, gcoef))
-    ]
+    sectors = []
+    for m, (p, packed) in enumerate(zip(p_m, gcoef)):
+        kernel = object.__new__(SectorKernel)
+        _set_fields(kernel, m, p, packed, grid, model)
+        sectors.append(kernel)
+    return sectors
 
 
 def sector_coverage(sectors: list[SectorKernel]) -> float:
@@ -239,8 +308,9 @@ def adaptive_sectors(
     profiler or tracer, whose extra reference forbids the shrink, are the
     kept sectors copied out instead, so that such a run briefly holds
     both. If n_theta / 4 cannot reach the target, n_theta is doubled (at
-    most twice) and only the coefficient pass is repeated before giving
-    up.
+    most twice) before giving up; the model is normalized again on each
+    doubled azimuth grid, and only the coefficient pass is repeated. The
+    kept kernels carry the model whose constant scaled their P_m.
 
     Returns the sector list and the n_theta it was computed with.
     """
@@ -249,7 +319,12 @@ def adaptive_sectors(
     target = 1.0 - sector_tol
     if _cumulative(_scan_pass(model, grid, n_theta))[-1] >= target:
         return angular_fourier(model, grid, _FIRST_RUNG, n_theta), n_theta
-    for _ in range(3):
+    for attempt in range(3):
+        if attempt:
+            # The norm integral aliases on a grid too coarse for the
+            # sectors, and the P_m would carry its error.
+            n_theta *= 2
+            model = normalize(model, grid, n_theta)
         top = n_theta // 4
         sectors = angular_fourier(model, grid, top, n_theta)
         p_m = [sector.p_m for sector in sectors]
@@ -259,19 +334,18 @@ def adaptive_sectors(
             m_max *= 2
         if cumulative[m_max] >= target:
             if m_max < top:
-                gcoef = sectors[0].matrix.base
+                gcoef = sectors[0].packed.base
                 del sectors
                 # With no view left, the one array shrinks in place: the
                 # reallocation keeps the leading sectors and frees the tail.
                 # A profiler or tracer holds one more reference, which
                 # resize refuses; the leading sectors are copied out then.
                 try:
-                    gcoef.resize((m_max + 1,) + gcoef.shape[1:])
+                    gcoef.resize((m_max + 1, gcoef.shape[1]))
                 except ValueError:
                     gcoef = gcoef[: m_max + 1].copy()
-                sectors = _sector_views(gcoef, p_m, grid)
+                sectors = _sector_views(gcoef, p_m, grid, model)
             return sectors, n_theta
         # Released before the doubled pass allocates its larger array.
         del sectors
-        n_theta *= 2
     raise ValueError("angular resolution exhausted")

@@ -160,10 +160,10 @@ class RunConfig:
     decompose and apply_filter build one from their keywords, and the
     command line builds one from its flags and config file, so every bad
     value fails here, before any amplitude is computed; that includes a
-    b_sigma whose square, 2 k_max^2, the norm integral's radial weight
-    products or the closed-form K overflows. At most one of b_sigma and
-    sweep is set; a command that needs the control parameter requires
-    one of them. The defaults of kmax_factor, n_theta and
+    b_sigma, or a point of the sweep, whose square, 2 k_max^2, the norm
+    integral's radial weight products or the closed-form K overflows. At
+    most one of b_sigma and sweep is set; a command that needs the
+    control parameter requires one of them. The defaults of kmax_factor, n_theta and
     sector_tol are the named constants that the stage functions' keyword
     defaults use too. The rules on n_theta, m_max and sector_tol are
     angular's, the grid_n rule is grids' and the mu_c rule is that of
@@ -200,27 +200,34 @@ class RunConfig:
         _check_angular(self.n_theta, self.m_max, self.sector_tol)
         _check_cutoff(self.mu_c)
         if self.b_sigma is not None:
-            # The amplitude squares b_sigma and sums k^2 + q^2 up to k_max.
-            # The norm integral weighs each pair by w_i k_i w_j k_j, at most
-            # (k_max (k_max - mu_c))^2 since the Gauss-Legendre weights sum
-            # to k_max - mu_c, and the oracle reports the closed-form K.
-            # A b_sigma that overflows any of them has no finite result.
-            k_max = self._k_max()
-            wk = k_max * (k_max - self.mu_c)
-            bounds = (self.b_sigma * self.b_sigma, 2 * k_max * k_max, wk * wk)
-            if any(map(math.isinf, bounds)) or math.isinf(analytic_K(self.b_sigma)):
-                raise ValueError(
-                    "b_sigma out of range: b_sigma^2, 2 k_max^2, "
-                    "(k_max (k_max - mu_c))^2 or the closed-form K overflows"
-                )
+            self._check_range(self.b_sigma)
+        if self.sweep is not None:
+            for b_sigma in self.sweep.points():
+                self._check_range(float(b_sigma))
+
+    def _check_range(self, b_sigma: float) -> None:
+        """The range rule on one b_sigma: the run or a sweep point."""
+        # The amplitude squares b_sigma and sums k^2 + q^2 up to k_max.
+        # The norm integral weighs each pair by w_i k_i w_j k_j, at most
+        # (k_max (k_max - mu_c))^2 since the Gauss-Legendre weights sum
+        # to k_max - mu_c, and the oracle reports the closed-form K.
+        # A b_sigma that overflows any of them has no finite result.
+        k_max = self._k_max(b_sigma)
+        wk = k_max * (k_max - self.mu_c)
+        bounds = (b_sigma * b_sigma, 2 * k_max * k_max, wk * wk)
+        if any(map(math.isinf, bounds)) or math.isinf(analytic_K(b_sigma)):
+            raise ValueError(
+                "b_sigma out of range: b_sigma^2, 2 k_max^2, "
+                "(k_max (k_max - mu_c))^2 or the closed-form K overflows"
+            )
 
     def settings(self, **changes) -> dict:
         """The numerical settings as decompose keywords, with changes applied."""
         return {s.field: getattr(self, s.field) for s in SETTINGS} | changes
 
-    def _k_max(self) -> float:
+    def _k_max(self, b_sigma: float) -> float:
         """Radial truncation at b_sigma, stretched when mu_c > 0."""
-        k_max = default_k_max(self.b_sigma, self.kmax_factor)
+        k_max = default_k_max(b_sigma, self.kmax_factor)
         return k_max * FILTERED_KMAX_STRETCH if self.mu_c > 0.0 else k_max
 
     def radial_grid(self) -> RadialGrid:
@@ -231,7 +238,7 @@ class RunConfig:
         (so the hard filter never straddles quadrature nodes) and k_max is
         stretched because the surviving amplitude lives at larger k.
         """
-        k_hi = self._k_max()
+        k_hi = self._k_max(self.b_sigma)
         if self.mu_c >= k_hi:
             raise ValueError("cutoff exceeds the radial truncation")
         return build_radial_grid(self.grid_n, self.mu_c, k_hi)
@@ -257,7 +264,9 @@ def _sectors(
     """The front half of every run, as decompose describes it.
 
     Returns the normalized model, the radial grid, the kept sector
-    kernels and the n_theta they were computed with.
+    kernels and the n_theta they were computed with. The model is the
+    one the kernels' P_m were scaled with, normalized again on the
+    doubled azimuth grid when adaptive_sectors doubled n_theta.
     """
     _check_type("b_sigma", b_sigma)
     cfg = RunConfig(family=AmplitudeFamily(family).value, b_sigma=b_sigma, **settings)
@@ -270,7 +279,7 @@ def _sectors(
         )
         return model, grid, kernels, cfg.n_theta
     kernels, n_theta = adaptive_sectors(model, grid, cfg.sector_tol, cfg.n_theta)
-    return model, grid, kernels, n_theta
+    return kernels[0].model, grid, kernels, n_theta
 
 
 def decompose(family, b_sigma: float, **settings) -> DecompositionResult:

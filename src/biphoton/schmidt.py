@@ -12,7 +12,9 @@ decompose_sector solves for eigenvalues alone. The mode profiles are
 built from the sector's kernel on first access to SectorSpectrum.modes,
 in the order the eigenvalues were given their labels. Where only the
 Schmidt number is read, sector_purity gives a sector's share of the
-purity, sum_n gamma_n^2 = ||M M||_F^2, with no eigensolve at all.
+purity, sum_n gamma_n^2 = ||M M||_F^2, with no eigensolve at all. A
+sector kernel keeps one triangle of its matrix; each of these steps
+expands it into a full matrix of its own first.
 """
 
 from __future__ import annotations
@@ -149,14 +151,15 @@ def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float =
     return int(np.count_nonzero(lobe_signs[1:] != lobe_signs[:-1]))
 
 
-def _checked_matrix(kernel: SectorKernel) -> np.ndarray:
-    """The kernel's matrix, once it is finite and symmetric to 1e-10."""
+def _finite_matrix(kernel: SectorKernel) -> np.ndarray:
+    """The kernel expanded into a full matrix of its own, once it is finite.
+
+    The kernel keeps one triangle of an exactly symmetric matrix, so the
+    expansion is symmetric too; eigvalsh and eigh read its lower triangle.
+    """
     matrix = kernel.matrix
     if not np.all(np.isfinite(matrix)):
         raise ValueError("sector kernel contains non-finite entries")
-    asym = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if asym > 1e-10:
-        raise ValueError(f"sector kernel asymmetric beyond tolerance ({asym:.3e})")
     return matrix
 
 
@@ -165,11 +168,11 @@ def sector_purity(kernel: SectorKernel) -> float:
 
     For the symmetric kernel M with eigenvalues e_n, M M has eigenvalues
     e_n^2 = gamma_n, so the squared Frobenius norm of M M is
-    sum_n gamma_n^2 without an eigensolve. The kernel passes the checks
-    of decompose_sector first. Its entries below 2^-500 are then set to
-    zero in place, so the caller must own the kernel and read it no more.
+    sum_n gamma_n^2 without an eigensolve. The expanded matrix passes the
+    check of decompose_sector first; its entries below 2^-500 are then
+    set to zero, which leaves the kernel itself as it was.
     """
-    matrix = _checked_matrix(kernel)
+    matrix = _finite_matrix(kernel)
     matrix[np.abs(matrix) < _PURITY_FLOOR] = 0.0
     # M M = M M^T for the symmetric M; BLAS forms the latter as a
     # symmetric rank-k update, at half the cost of a general product.
@@ -191,8 +194,7 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     phi = v / sqrt(w k) are built from the kernel, in this order, when
     the spectrum's modes are first read.
     """
-    matrix = _checked_matrix(kernel)
-    eigenvalues = np.linalg.eigvalsh(matrix)
+    eigenvalues = np.linalg.eigvalsh(_finite_matrix(kernel))
     gammas = eigenvalues**2
     order = np.argsort(-gammas, kind="stable")
     # Above-floor gammas form a prefix of the descending order.

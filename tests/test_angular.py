@@ -18,7 +18,7 @@ from biphoton import (
     sector_coefficient,
     sector_coverage,
 )
-from biphoton.angular import _coefficient_pass, _scan_pass
+from biphoton.angular import _coefficient_pass, _packing, _scan_pass
 from biphoton.grids import N_THETA
 
 
@@ -44,12 +44,13 @@ def test_n_theta_and_m_max_validation(gauss_model_grid):
 
 
 def test_sector_structure(gauss_kernels):
-    # The kernels are contiguous views of one sector-major array.
-    base = gauss_kernels[0].matrix.base
+    # The kernels are the contiguous packed rows of one sector-major array.
+    base = gauss_kernels[0].packed.base
     assert base is not None
+    assert base.shape == (len(gauss_kernels), 200 * 201 // 2)
     for kernel in gauss_kernels:
-        assert kernel.matrix.flags.c_contiguous
-        assert np.shares_memory(kernel.matrix, base)
+        assert kernel.packed.flags.c_contiguous
+        assert np.shares_memory(kernel.packed, base)
     for m, kernel in enumerate(gauss_kernels):
         assert kernel.m == m
         assert kernel.p_m > 0.0
@@ -88,6 +89,34 @@ def test_coverage_counts_both_signs():
         SectorKernel(m=2, p_m=0.05, matrix=dummy, grid=grid),
     ]
     assert sector_coverage(sectors) == pytest.approx(1.0)
+
+
+def test_a_kernel_keeps_the_upper_triangle_of_its_matrix():
+    grid = build_radial_grid(4, 0.0, 1.0)
+    matrix = np.arange(16.0).reshape(4, 4)
+    matrix = matrix + matrix.T
+    kernel = SectorKernel(m=3, p_m=0.25, matrix=matrix, grid=grid)
+    assert kernel.packed.tolist() == [0, 5, 10, 15, 10, 15, 20, 20, 25, 30]
+    assert kernel.model is None
+    expanded = kernel.matrix
+    assert np.array_equal(expanded, matrix)
+    # Each read builds a matrix of its own.
+    expanded[0, 1] = np.nan
+    assert np.array_equal(kernel.matrix, matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.array([[1.0, 0.5], [0.5 + 2e-10, 1.0]]), "asymmetric"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
+        (np.eye(3), "N x N"),
+    ],
+)
+def test_a_kernel_rejects_a_bad_matrix(matrix, message):
+    grid = build_radial_grid(2, 0.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid)
 
 
 def test_m_max_too_small_raises(gauss_model_grid):
@@ -142,6 +171,7 @@ def test_cosine_projection_matches_real_fft(n_theta):
     for m_keep in (0, 8, 128, 255):
         gcoef = _coefficient_pass(model, grid, n_theta, m_keep)
         expected = np.moveaxis(reference[:, : m_keep + 1], 1, 0)
+        expected = expected.reshape(m_keep + 1, -1)[:, _packing(grid.count).upper]
         error = float(np.max(np.abs(gcoef - expected)))
         assert error <= 1e-13 * float(np.max(np.abs(expected)))
 
@@ -214,12 +244,13 @@ def _sinc_oracle_errors(t, mu_c, n_theta, orders, picks=12):
     picked = np.linspace(0, grid.count - 1, picks).round().astype(int)
     rows, cols = np.triu_indices(picks)
     i, j = picked[rows], picked[cols]
+    packed = _packing(grid.count).full[i, j]
     errors = {}
     for m in orders:
         reference = converged_sinc_coefficients(
             grid.nodes[i], grid.nodes[j], t, m, grid.k_max, 1e-14 * scale
         )
-        errors[m] = float(np.max(np.abs(gcoef[m, i, j] - reference)) / scale)
+        errors[m] = float(np.max(np.abs(gcoef[m, packed] - reference)) / scale)
     return errors
 
 

@@ -234,8 +234,11 @@ def test_invalid_run_parameters_exit_2(workdir, capsys):
         assert main([*gaussian, "--bsigma", "1e-80"]) == 2
         for factor in ("1e-10", "1e-100"):
             assert main(["oracle", "--bsigma", "1e-160", "--kmax-factor", factor]) == 2
+        # every sweep point, the closed-form gaussian column's too
+        for spec in ("1e-160:1e-150:2", "1.0:1e200:3:log"):
+            assert main(["sweep", "--family", "gaussian", "--bsigma-range", spec]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert sum("b_sigma out of range" in line for line in errors) == 8
+    assert sum("b_sigma out of range" in line for line in errors) == 10
     assert not any(workdir.iterdir())
 
 

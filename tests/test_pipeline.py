@@ -121,14 +121,16 @@ def test_bad_settings_fail_before_any_fill(fill_shapes, gauss_model_grid):
 
 def test_kept_sectors_do_not_hold_the_top_sized_array():
     # The schedule stops at 64 below the top, 128; the kept kernels are
-    # views of one array of their own.
+    # the packed rows of one array of their own, (m_max + 1) N (N + 1) / 2
+    # doubles in all.
     result = decompose("sinc", 0.5, grid_n=40)
     assert result.m_max == 64
-    base = result.kernels[0].matrix.base
-    assert base.shape[0] == result.m_max + 1
+    base = result.kernels[0].packed.base
+    assert base.shape == (result.m_max + 1, 40 * 41 // 2)
+    assert base.dtype == np.float64
     for kernel in result.kernels:
-        assert kernel.matrix.flags.c_contiguous
-        assert np.shares_memory(kernel.matrix, base)
+        assert kernel.packed.flags.c_contiguous
+        assert np.shares_memory(kernel.packed, base)
 
 
 def test_a_profiled_run_keeps_the_sectors_of_a_plain_one():
@@ -149,23 +151,23 @@ def test_a_profiled_run_keeps_the_sectors_of_a_plain_one():
     assert sys.getprofile() is previous
     assert profiled.m_max == 64
     assert profiled.spectrum.k == plain.spectrum.k
-    base = profiled.kernels[0].matrix.base
-    assert base.shape == (profiled.m_max + 1, 40, 40)
+    base = profiled.kernels[0].packed.base
+    assert base.shape == (profiled.m_max + 1, 40 * 41 // 2)
     for kernel in profiled.kernels:
-        assert kernel.matrix.flags.c_contiguous
-        assert np.shares_memory(kernel.matrix, base)
+        assert kernel.packed.flags.c_contiguous
+        assert np.shares_memory(kernel.packed, base)
 
 
 def test_stopping_below_the_top_holds_no_second_coefficient_array():
     # At grid_n 120 the sinc 0.5 schedule stops at 64 of 128. The top
-    # array is 15 MB; a right-sized copy of its leading 65 sectors would
-    # add 7.5 MB at once. The sweep itself adds one tile (at most
+    # array of packed kernels is 7.5 MB; a right-sized copy of its leading
+    # 65 sectors would add 3.8 MB at once. The sweep itself adds one tile (at most
     # _TILE_BYTES), its projection buffer and the fill workspaces, each
     # smaller than a tile, so the peak stays below two tiles past the
     # top array. The kept sectors are bitwise the top pass's leading ones.
     grid = RunConfig(family="sinc", b_sigma=0.5, grid_n=120).radial_grid()
     model = biphoton.normalize(biphoton.AmplitudeModel.from_b_sigma("sinc", 0.5), grid, 512)
-    top = 129 * grid.count * grid.count * 8
+    top = 129 * grid.count * (grid.count + 1) // 2 * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -275,6 +277,19 @@ def test_n_theta_recovery_after_doubling():
     assert result.spectrum.k == pytest.approx(reference.spectrum.k, rel=1e-9)
 
 
+def test_a_doubled_n_theta_normalizes_again():
+    # At grid_n 60, sinc 0.2 keeps m <= 128. From n_theta 128 the run
+    # doubles twice, and each doubled azimuth grid takes its own norm, so
+    # it ends where a run started at 512 does. Kept at the aliased norm of
+    # n_theta 128, the P_m fell short of 1 - sector_tol at every n_theta.
+    doubled = decompose("sinc", 0.2, grid_n=60, n_theta=128)
+    direct = decompose("sinc", 0.2, grid_n=60)
+    assert (doubled.m_max, doubled.n_theta) == (direct.m_max, direct.n_theta)
+    assert (direct.m_max, direct.n_theta) == (128, 512)
+    assert doubled.spectrum.k == direct.spectrum.k
+    assert doubled.model == direct.model
+
+
 def test_python_backend_full_run():
     code = (
         "import biphoton; r = biphoton.decompose('gaussian', 0.5, grid_n=80, "
@@ -337,18 +352,22 @@ def _planting(monkeypatch, plant):
 
     def planted(*args, **kwargs):
         kernels, n_theta = original(*args, **kwargs)
-        plant(kernels[2].matrix)
+        plant(kernels)
         return kernels, n_theta
 
     monkeypatch.setattr(biphoton.pipeline, "adaptive_sectors", planted)
 
 
-def _non_finite(matrix):
-    matrix[0, 1] = matrix[1, 0] = np.nan
+def _non_finite(kernels):
+    kernels[2].packed[1] = np.nan
 
 
-def _asymmetric(matrix):
+def _asymmetric(kernels):
+    # A kernel keeps one triangle, so an asymmetric matrix is rejected
+    # when it is turned into a kernel.
+    matrix = kernels[2].matrix
     matrix[0, 1] += 1e-8
+    kernels[2] = biphoton.SectorKernel(2, kernels[2].p_m, matrix, kernels[2].grid)
 
 
 @pytest.mark.parametrize(

@@ -105,17 +105,15 @@ def test_node_count_is_grid_invariant(sinc_quarter):
 def test_rejects_asymmetric_kernel():
     grid = build_radial_grid(3, 0.0, 1.0)
     matrix = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    kernel = SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid)
     with pytest.raises(ValueError, match="asymmetric"):
-        decompose_sector(kernel)
+        decompose_sector(SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid))
 
 
 def test_rejects_non_finite_kernel():
     grid = build_radial_grid(2, 0.0, 1.0)
     matrix = np.array([[1.0, np.nan], [np.nan, 1.0]])
-    kernel = SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid)
     with pytest.raises(ValueError, match="non-finite"):
-        decompose_sector(kernel)
+        decompose_sector(SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid))
 
 
 def test_plus_minus_pair_puts_positive_eigenvalue_first():
@@ -224,7 +222,7 @@ def test_decompose_solves_no_eigenvectors(monkeypatch):
 
     mode = result.sector_spectra[3].modes[0]
     assert (mode.n, mode.m) == (0, 3)
-    assert len(calls) == 1 and calls[0] is result.kernels[3].matrix
+    assert len(calls) == 1 and np.array_equal(calls[0], result.kernels[3].matrix)
     built = [sector.m for sector in result.sector_spectra if "modes" in vars(sector)]
     assert built == [3]
 
