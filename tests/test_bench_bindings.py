@@ -4,7 +4,8 @@ perfbench/tracing.py wraps the module attributes in its BINDINGS from
 outside src/, and perfbench/run.py records biphoton.KERNEL_BACKEND. A
 rename or deletion of any of them, or a changed return that a probe
 unpacks, crashes the traced benchmark, so the fast suite checks them
-here, the returns by one traced decompose and one traced filter command. perfbench/test_perfbench.py also pins the
+here: the names directly, the returns through one traced decompose and
+one traced filter command. perfbench/test_perfbench.py also pins the
 number of amplitude values each workload fills (3 tensors per decompose,
 8 per filter command); the fill-count tests below pin the same counts on
 a small grid, and the values filled when the sector schedule stops

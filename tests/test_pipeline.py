@@ -160,11 +160,12 @@ def test_a_profiled_run_keeps_the_sectors_of_a_plain_one():
 
 def test_stopping_below_the_top_holds_no_second_coefficient_array():
     # At grid_n 120 the sinc 0.5 schedule stops at 64 of 128. The top
-    # array of packed kernels is 7.5 MB; a right-sized copy of its leading
-    # 65 sectors would add 3.8 MB at once. The sweep itself adds one tile (at most
-    # _TILE_BYTES), its projection buffer and the fill workspaces, each
-    # smaller than a tile, so the peak stays below two tiles past the
-    # top array. The kept sectors are bitwise the top pass's leading ones.
+    # array of packed kernels is 7.5 MB; a right-sized copy of its
+    # leading 65 sectors would add 3.8 MB at once. The sweep itself adds
+    # one tile (at most _TILE_BYTES), its projection buffer and the fill
+    # workspaces, each smaller than a tile, so the peak stays below two
+    # tiles past the top array. The kept sectors are bitwise the top
+    # pass's leading ones.
     grid = RunConfig(family="sinc", b_sigma=0.5, grid_n=120).radial_grid()
     model = biphoton.normalize(biphoton.AmplitudeModel.from_b_sigma("sinc", 0.5), grid, 512)
     top = 129 * grid.count * (grid.count + 1) // 2 * 8
@@ -280,8 +281,8 @@ def test_n_theta_recovery_after_doubling():
 def test_a_doubled_n_theta_normalizes_again():
     # At grid_n 60, sinc 0.2 keeps m <= 128. From n_theta 128 the run
     # doubles twice, and each doubled azimuth grid takes its own norm, so
-    # it ends where a run started at 512 does. Kept at the aliased norm of
-    # n_theta 128, the P_m fell short of 1 - sector_tol at every n_theta.
+    # it ends where a run started at 512 does. Kept at the aliased norm
+    # of n_theta 128, the P_m fall short of 1 - sector_tol at every n_theta.
     doubled = decompose("sinc", 0.2, grid_n=60, n_theta=128)
     direct = decompose("sinc", 0.2, grid_n=60)
     assert (doubled.m_max, doubled.n_theta) == (direct.m_max, direct.n_theta)
