@@ -98,9 +98,7 @@ def _form(table, two_kq, b, s, a, out):
     return np.matmul(table, np.stack((b * two_kq, a * s)), out=out)
 
 
-def amplitude(
-    family, table, two_kq, s, t, out=None, half=None, work=None, live=None, descending=False
-):
+def amplitude(family, table, two_kq, s, t, out=None, half=None, work=None, live=None):
     """Unit-constant amplitude on a table of azimuths and a row of radial pairs.
 
     Parameters
@@ -123,10 +121,6 @@ def amplitude(
     live : ndarray of bool, optional
         Workspace shaped like out for the mask of values below the floor;
         allocated when omitted.
-    descending : bool, optional
-        True when the table's cosines never increase, as in the fill's
-        cos(dtheta_u), u = 0 .. n_theta // 2. The double-Gaussian floor
-        check then reads one row, see :func:`_clears_floor`.
 
     Returns out[u, j], exp(-|k + q|^2) times exp(-t^2 |k - q|^2) or
     sinc(t^2 |k - q|^2), with sinc(0) = 1, and zero wherever that
@@ -161,7 +155,7 @@ def amplitude(
     t2 = t * t
     if family is AmplitudeFamily.DOUBLE_GAUSSIAN:
         _form(table, two_kq, t2 - 1.0, s, -(1.0 + t2), out)
-        if _clears_floor(out, t2, descending):
+        if _clears_floor(out, table, t2):
             return np.exp(out, out=out)
         np.maximum(out, _LOG_CLAMP, out=out)
         np.exp(out, out=out)
@@ -202,20 +196,20 @@ def amplitude(
     return out
 
 
-def _clears_floor(exponent, t2, descending):
+def _clears_floor(exponent, table, t2):
     """Whether every double-Gaussian exponent is at least log(_FLOOR) + 1.
 
     Such an array has every value above e * _FLOOR, so :func:`amplitude`
     skips the clamp and the flush. The rounded exponent
     round(round(cos_u (t^2 - 1) 2kq) - (1 + t^2) s) is monotone in cos_u
-    for a fixed column, so when the cosines descend along the first axis
-    the minimum of every column lies in the last row for t > 1 and in the
-    first row otherwise (at t = 1 every row is the same); only that row
-    is read.
+    for a fixed column, so the minimum of every column lies in the row of
+    the table's smallest cosine for t > 1 and of its largest otherwise
+    (at t = 1 every row is the same); only that row is read, whatever
+    the order of the table's cosines.
     """
-    if descending:
-        exponent = exponent[-1] if t2 > 1.0 else exponent[0]
-    return exponent.min() >= _LOG_FLOOR + 1.0
+    cos = table[:, 0]
+    row = cos.argmin() if t2 > 1.0 else cos.argmax()
+    return exponent[row].min() >= _LOG_FLOOR + 1.0
 
 
 def mirror_weights(n_theta):
@@ -282,7 +276,7 @@ def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
         row = out[r]
         amplitude(
             family, table, 2.0 * kr * k, kr * kr + k * k, t,
-            out=row[:h], half=half, work=work, live=live, descending=True,
+            out=row[:h], half=half, work=work, live=live,
         )
         row[h:] = row[n_theta - h : 0 : -1]
 

@@ -18,8 +18,9 @@ exactly symmetric under the exchange of the two photons, so both passes
 project only the upper triangle j >= i of each row tile: the scan weighs
 the pairs off the tile twice, and the coefficient pass stores each kernel
 as that triangle alone, row-packed in N (N + 1) / 2 values (the LAPACK
-packed storage of a symmetric matrix). SectorKernel is the one place that
-knows this layout; it expands a kernel into its full, exactly symmetric
+packed storage of a symmetric matrix). Only this module knows the layout:
+P_m is one sum over a packed row, and a SectorKernel, checked when it is
+built and read-only after, expands into its full, exactly symmetric
 matrix when one is read.
 """
 
@@ -79,6 +80,8 @@ class _Packing(NamedTuple):
     """Flat position i N + j of packed entry p, shape (N (N + 1) / 2,)."""
     full: np.ndarray
     """Packed position of entry (min(i, j), max(i, j)), shape (N, N)."""
+    counts: np.ndarray
+    """Matrix entries packed entry p stands for: 1 on the diagonal, 2 above it."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -87,19 +90,20 @@ def _packing(n: int) -> _Packing:
     rows, cols = np.triu_indices(n)
     full = np.empty((n, n), dtype=np.intp)
     full[rows, cols] = full[cols, rows] = np.arange(rows.size)
-    upper = rows * n + cols
-    upper.setflags(write=False)
-    full.setflags(write=False)
-    return _Packing(upper, full)
+    packing = _Packing(rows * n + cols, full, np.where(rows == cols, 1.0, 2.0))
+    for array in packing:
+        array.setflags(write=False)
+    return packing
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SectorKernel:
     """One orbital-angular-momentum sector of the amplitude.
 
-    SectorKernel(m, p_m, matrix, grid) takes a full N x N matrix on the
-    grid's N nodes. It must be finite and symmetric to 1e-10, and its
-    upper triangle is what the kernel keeps.
+    SectorKernel(m, p_m, packed, grid, model=None) checks that packed
+    holds the N (N + 1) / 2 finite values of the grid's N nodes and keeps
+    a read-only view of it, so a kernel cannot change once it is checked.
+    SectorKernel.from_matrix builds one from a full N x N matrix.
 
     Attributes
     ----------
@@ -126,9 +130,22 @@ class SectorKernel:
     p_m: float
     packed: np.ndarray = field(repr=False)
     grid: RadialGrid = field(repr=False)
-    model: AmplitudeModel | None = field(repr=False)
+    model: AmplitudeModel | None = field(default=None, repr=False)
 
-    def __init__(self, m: int, p_m: float, matrix, grid: RadialGrid):
+    def __post_init__(self):
+        n = self.grid.count
+        packed = np.asarray(self.packed, dtype=float)
+        if packed.shape != (n * (n + 1) // 2,):
+            raise ValueError("sector kernel must be N x N on the grid's N nodes")
+        if not np.all(np.isfinite(packed)):
+            raise ValueError("sector kernel contains non-finite entries")
+        packed = packed.view()
+        packed.setflags(write=False)
+        object.__setattr__(self, "packed", packed)
+
+    @classmethod
+    def from_matrix(cls, m: int, p_m: float, matrix, grid: RadialGrid) -> "SectorKernel":
+        """The kernel of a full N x N matrix, finite and symmetric to 1e-10."""
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (grid.count, grid.count):
             raise ValueError("sector kernel must be N x N on the grid's N nodes")
@@ -137,19 +154,12 @@ class SectorKernel:
         asym = float(np.max(np.abs(matrix - matrix.T)))
         if asym > 1e-10:
             raise ValueError(f"sector kernel asymmetric beyond tolerance ({asym:.3e})")
-        packed = matrix.take(_packing(grid.count).upper)
-        _set_fields(self, m, p_m, packed, grid, None)
+        return cls(m, p_m, matrix.take(_packing(grid.count).upper), grid)
 
     @property
     def matrix(self) -> np.ndarray:
         """The full symmetric N x N matrix, built anew on each read."""
         return self.packed[_packing(self.grid.count).full]
-
-
-def _set_fields(kernel, *values):
-    """Set the fields of a frozen SectorKernel, in declaration order."""
-    for name, value in zip(("m", "p_m", "packed", "grid", "model"), values):
-        object.__setattr__(kernel, name, value)
 
 
 def _cosine_projections(model, grid, n_theta, m_keep):
@@ -254,10 +264,9 @@ def angular_fourier(
     gcoef *= (_TWO_PI * np.outer(sqwk, sqwk)).take(packing.upper)
     p_m = []
     for packed in gcoef:
-        # Summed over the full matrix in its entry order, P_m does not
-        # depend on the packing.
-        matrix = packed[packing.full]
-        p_m.append(float(np.sum(matrix * matrix)))
+        # The squared Frobenius norm over the packed row, summed pairwise:
+        # a BLAS dot splits long sums by the thread count.
+        p_m.append(float(np.sum(np.square(packed) * packing.counts)))
         if p_m[-1] > 0.0:
             packed /= np.sqrt(p_m[-1])
     sectors = _sector_views(gcoef, p_m, grid, model)
@@ -267,13 +276,11 @@ def angular_fourier(
 
 
 def _sector_views(gcoef, p_m, grid, model):
-    """One SectorKernel per leading row gcoef[m], a view of gcoef."""
-    sectors = []
-    for m, (p, packed) in enumerate(zip(p_m, gcoef)):
-        kernel = object.__new__(SectorKernel)
-        _set_fields(kernel, m, p, packed, grid, model)
-        sectors.append(kernel)
-    return sectors
+    """One SectorKernel per leading row gcoef[m], a read-only view of gcoef."""
+    return [
+        SectorKernel(m, p, packed, grid, model)
+        for m, (p, packed) in enumerate(zip(p_m, gcoef))
+    ]
 
 
 def sector_coverage(sectors: list[SectorKernel]) -> float:

@@ -60,12 +60,13 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     unfiltered run yields only K_original and the normalization that the
     acceptance needs, so it takes K by the trace identity
     (schmidt_number_by_trace) and solves no eigenproblem; at mu_c = 0 it
-    is the filtered run too, and is fully decomposed. The acceptance
-    integrates the squared original amplitude over the filtered domain
+    is the filtered run too, and is fully decomposed. The acceptance is
+    the squared original amplitude integrated over the filtered domain
     [mu_c, stretched k_max] against the unfiltered normalization, so it
-    is a projection probability of the original state. The filtered
-    quadrature starts exactly at the cutoff rather than multiplying a
-    step function onto a straddling grid.
+    is a projection probability of the original state, taken as the
+    squared ratio of the two runs' constants at the n_theta each ended
+    on. The filtered quadrature starts exactly at the cutoff rather than
+    multiplying a step function onto a straddling grid.
     """
     cfg = RunConfig(
         family=model.family.value, b_sigma=model.b_sigma, mu_c=mu_c, **settings
@@ -89,12 +90,14 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     )
     constant = normalized.unit_norm_constant
 
+    # At the requested n_theta, which the filtered run may double; this
+    # only guards the floor before that run.
     surviving = unit_norm_integral(model, cfg.radial_grid(), cfg.n_theta)
-    acceptance = min(surviving * constant**2, 1.0)
-    if acceptance < ACCEPTANCE_FLOOR:
+    if surviving * constant**2 < ACCEPTANCE_FLOOR:
         raise ValueError("filter removes essentially all amplitude")
 
     filtered = decompose(cfg.family, cfg.b_sigma, **cfg.settings())
+    acceptance = min((constant / filtered.model.unit_norm_constant) ** 2, 1.0)
     return FilterReport(
         mu_c=float(cfg.mu_c),
         acceptance=float(acceptance),

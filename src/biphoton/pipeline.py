@@ -322,8 +322,8 @@ def schmidt_number_by_trace(family, b_sigma: float, **settings) -> KByTrace:
     coverage-renormalized reduced state: each sector's ||M_m M_m||_F^2
     is the sum of its gamma^2 (schmidt.sector_purity). It agrees with
     decompose's K to rounding and the gammas below the noise floor that
-    decompose drops. The kernels are checked as decompose_sector checks
-    them; the coverage warning and the coverage and K checks are
+    decompose drops. The kernels are decompose's, checked when they are
+    built; the coverage warning and the coverage and K checks are
     SchmidtSpectrum's.
     """
     model, _, kernels, _ = _sectors(family, b_sigma, settings)

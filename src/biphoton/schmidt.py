@@ -13,8 +13,8 @@ built from the sector's kernel on first access to SectorSpectrum.modes,
 in the order the eigenvalues were given their labels. Where only the
 Schmidt number is read, sector_purity gives a sector's share of the
 purity, sum_n gamma_n^2 = ||M M||_F^2, with no eigensolve at all. A
-sector kernel keeps one triangle of its matrix; each of these steps
-expands it into a full matrix of its own first.
+sector kernel keeps one checked, read-only triangle of its matrix; each
+of these steps expands it into a full matrix of its own first.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ _DEGENERACY_RTOL = 1e-9
 
 _TIE_EPS = 4.0 * np.finfo(float).eps
 """Gap, in units of the larger sector probability P_m, under which two are tied."""
+
+_NODE_MASS_CUT = 0.995
+"""Share of a mode's quadrature weight whose region radial_node_count inspects."""
+
+_NODE_LOBE_FLOOR = 1e-2
+"""Peak of a significant lobe, relative to the mode's peak magnitude."""
 
 _PURITY_FLOOR = 2.0**-500
 """Kernel entries below this are zeroed before the purity product; their
@@ -114,19 +120,20 @@ class SectorSpectrum:
         ]
 
 
-def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float = 1e-2) -> int:
+def radial_node_count(mode: SchmidtMode) -> int:
     """Number of interior sign changes of the mode profile.
 
-    Counting convention: only the region holding the leading ``mass_cut``
-    fraction of the mode's quadrature weight is inspected. That region is
-    split into lobes, the runs of samples between sign changes, and a lobe
-    is significant when its peak magnitude reaches ``floor`` times the
-    profile's peak magnitude. The count is the number of sign changes
-    between consecutive significant lobes, so a lobe below the floor adds
-    no node, and neither do the two crossings that bound it. Sinc-family
-    modes carry genuine low-amplitude oscillations in their far tails;
-    this windowed count reports the node structure of the region where
-    the mode lives, which is what the quantum number tracks.
+    Counting convention: only the region holding the leading
+    _NODE_MASS_CUT of the mode's quadrature weight is inspected. That
+    region is split into lobes, the runs of samples between sign changes,
+    and a lobe is significant when its peak magnitude reaches
+    _NODE_LOBE_FLOOR times the profile's peak magnitude. The count is the
+    number of sign changes between consecutive significant lobes, so a
+    lobe below the floor adds no node, and neither do the two crossings
+    that bound it. Sinc-family modes carry genuine low-amplitude
+    oscillations in their far tails; this windowed count reports the
+    node structure of the region where the mode lives, which is what the
+    quantum number tracks.
 
     Judging each lobe by its own peak, rather than by the samples next to
     a crossing (which shrink with the node spacing near a zero), makes the
@@ -139,7 +146,7 @@ def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float =
     total = mass[-1]
     if total <= 0.0:
         return 0
-    keep = mass <= mass_cut * total
+    keep = mass <= _NODE_MASS_CUT * total
     p = phi[keep]
     if p.size < 2:
         return 0
@@ -147,20 +154,8 @@ def radial_node_count(mode: SchmidtMode, mass_cut: float = 0.995, floor: float =
     signs = np.where(p >= 0.0, 1, -1)
     starts = np.concatenate(([0], np.nonzero(signs[1:] != signs[:-1])[0] + 1))
     lobe_peaks = np.maximum.reduceat(np.abs(p), starts)
-    lobe_signs = signs[starts][lobe_peaks >= floor * peak]
+    lobe_signs = signs[starts][lobe_peaks >= _NODE_LOBE_FLOOR * peak]
     return int(np.count_nonzero(lobe_signs[1:] != lobe_signs[:-1]))
-
-
-def _finite_matrix(kernel: SectorKernel) -> np.ndarray:
-    """The kernel expanded into a full matrix of its own, once it is finite.
-
-    The kernel keeps one triangle of an exactly symmetric matrix, so the
-    expansion is symmetric too; eigvalsh and eigh read its lower triangle.
-    """
-    matrix = kernel.matrix
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("sector kernel contains non-finite entries")
-    return matrix
 
 
 def sector_purity(kernel: SectorKernel) -> float:
@@ -168,11 +163,10 @@ def sector_purity(kernel: SectorKernel) -> float:
 
     For the symmetric kernel M with eigenvalues e_n, M M has eigenvalues
     e_n^2 = gamma_n, so the squared Frobenius norm of M M is
-    sum_n gamma_n^2 without an eigensolve. The expanded matrix passes the
-    check of decompose_sector first; its entries below 2^-500 are then
-    set to zero, which leaves the kernel itself as it was.
+    sum_n gamma_n^2 without an eigensolve. The entries of the expanded
+    matrix below 2^-500 are set to zero; the kernel itself is read-only.
     """
-    matrix = _finite_matrix(kernel)
+    matrix = kernel.matrix
     matrix[np.abs(matrix) < _PURITY_FLOOR] = 0.0
     # M M = M M^T for the symmetric M; BLAS forms the latter as a
     # symmetric rank-k update, at half the cost of a general product.
@@ -194,7 +188,8 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
     phi = v / sqrt(w k) are built from the kernel, in this order, when
     the spectrum's modes are first read.
     """
-    eigenvalues = np.linalg.eigvalsh(_finite_matrix(kernel))
+    # The expansion is exactly symmetric; eigvalsh reads its lower triangle.
+    eigenvalues = np.linalg.eigvalsh(kernel.matrix)
     gammas = eigenvalues**2
     order = np.argsort(-gammas, kind="stable")
     # Above-floor gammas form a prefix of the descending order.

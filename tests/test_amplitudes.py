@@ -309,8 +309,10 @@ def test_sinc_fill_raises_no_floating_point_exception(t, mu_c):
 
 @pytest.mark.parametrize("t", [0.5, 0.999, 1.0, 1.001, 1.8, 2.5])
 def test_gaussian_floor_check_reads_the_extreme_azimuth_row(t):
-    # The fill's exponent rows run over descending cos(dtheta); the check
-    # that reads one of them decides as the minimum over all of them.
+    # The fill's exponent rows run over the descending distinct half of
+    # cos(dtheta) (257 rows), the slice's over the whole non-monotone
+    # table (512); the check that reads the row of the extreme cosine
+    # decides as the minimum over all of them.
     # Near t = 1 the exponent is about -2 s and the extreme rows differ
     # by |t^2 - 1| 4 k q, so the rows that straddle the floor lie in a
     # narrow band: on a grid to k = 13, radial rows 0.0025 apart across
@@ -322,17 +324,19 @@ def test_gaussian_floor_check_reads_the_extreme_azimuth_row(t):
     else:
         k = build_radial_grid(200, 0.0, 13.0).nodes
         rows = np.linspace(11.5, 12.5, 401)
-    c = angular_grid(512)[1][:257, None]
     t2 = t * t
-    decisions = set()
-    for kr in rows:
-        # The exponent as the fill rounds it, see _plain_half.
-        exponent = c * ((t2 - 1.0) * (2.0 * kr * k))
-        exponent += -(1.0 + t2) * (kr * kr + k * k)
-        expected = bool(exponent.min() >= _kernels._LOG_FLOOR + 1.0)
-        assert _kernels._clears_floor(exponent, t2, descending=True) == expected
-        decisions.add(expected)
-    assert decisions == {True, False}
+    for rows_u in (257, 512):
+        c = angular_grid(512)[1][:rows_u, None]
+        table = _kernels.cos_table(c[:, 0])
+        decisions = set()
+        for kr in rows:
+            # The exponent as the fill rounds it, see _plain_half.
+            exponent = c * ((t2 - 1.0) * (2.0 * kr * k))
+            exponent += -(1.0 + t2) * (kr * kr + k * k)
+            expected = bool(exponent.min() >= _kernels._LOG_FLOOR + 1.0)
+            assert _kernels._clears_floor(exponent, table, t2) == expected
+            decisions.add(expected)
+        assert decisions == {True, False}
 
 
 @pytest.mark.parametrize("family", ["gaussian", "sinc"])

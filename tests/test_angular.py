@@ -84,9 +84,9 @@ def test_coverage_counts_both_signs():
     grid = build_radial_grid(2, 0.0, 1.0)
     dummy = np.eye(2)
     sectors = [
-        SectorKernel(m=0, p_m=0.5, matrix=dummy, grid=grid),
-        SectorKernel(m=1, p_m=0.2, matrix=dummy, grid=grid),
-        SectorKernel(m=2, p_m=0.05, matrix=dummy, grid=grid),
+        SectorKernel.from_matrix(0, 0.5, dummy, grid),
+        SectorKernel.from_matrix(1, 0.2, dummy, grid),
+        SectorKernel.from_matrix(2, 0.05, dummy, grid),
     ]
     assert sector_coverage(sectors) == pytest.approx(1.0)
 
@@ -95,9 +95,10 @@ def test_a_kernel_keeps_the_upper_triangle_of_its_matrix():
     grid = build_radial_grid(4, 0.0, 1.0)
     matrix = np.arange(16.0).reshape(4, 4)
     matrix = matrix + matrix.T
-    kernel = SectorKernel(m=3, p_m=0.25, matrix=matrix, grid=grid)
+    kernel = SectorKernel.from_matrix(3, 0.25, matrix, grid)
     assert kernel.packed.tolist() == [0, 5, 10, 15, 10, 15, 20, 20, 25, 30]
     assert kernel.model is None
+    assert not kernel.packed.flags.writeable
     expanded = kernel.matrix
     assert np.array_equal(expanded, matrix)
     # Each read builds a matrix of its own.
@@ -116,7 +117,21 @@ def test_a_kernel_keeps_the_upper_triangle_of_its_matrix():
 def test_a_kernel_rejects_a_bad_matrix(matrix, message):
     grid = build_radial_grid(2, 0.0, 1.0)
     with pytest.raises(ValueError, match=message):
-        SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid)
+        SectorKernel.from_matrix(0, 1.0, matrix, grid)
+
+
+@pytest.mark.parametrize(
+    "packed, message",
+    [
+        (np.ones(4), "N x N"),
+        (np.eye(2), "N x N"),
+        (np.array([1.0, np.nan, 1.0]), "non-finite"),
+    ],
+)
+def test_a_kernel_rejects_a_bad_packed_row(packed, message):
+    grid = build_radial_grid(2, 0.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        SectorKernel(0, 1.0, packed, grid)
 
 
 def test_m_max_too_small_raises(gauss_model_grid):

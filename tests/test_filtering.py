@@ -83,6 +83,19 @@ def test_filter_acceptance_floor(gauss_model_grid):
         apply_filter(model, 7.0, **FAST)
 
 
+def test_acceptance_is_taken_at_the_n_theta_the_runs_used():
+    # From n_theta 128 the sinc 0.5 runs double to 512 before they reach
+    # the sector target; the surviving integral at 128 itself is 8.7e-5
+    # off, and 512 and 2048 agree to the last digits shown.
+    grid = build_radial_grid(40, 0.0, 16.0)
+    model = normalize(AmplitudeModel.from_b_sigma("sinc", 0.5), grid, 128)
+    coarse = apply_filter(model, 1.5, grid_n=40, n_theta=128)
+    fine = apply_filter(model, 1.5, grid_n=40, n_theta=512)
+    assert coarse.acceptance == pytest.approx(0.1033546514, rel=1e-9)
+    assert coarse.acceptance == pytest.approx(fine.acceptance, rel=1e-12)
+    assert coarse.k_filtered == pytest.approx(fine.k_filtered, rel=1e-12)
+
+
 def test_slice_peak_is_exactly_one():
     model = AmplitudeModel.from_b_sigma("sinc", 0.25)
     dtheta, intensity = slice_intensity(model, np.linspace(0.0, 4.0, 41), n_theta=256)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import subprocess
@@ -131,6 +132,18 @@ def test_kept_sectors_do_not_hold_the_top_sized_array():
     for kernel in result.kernels:
         assert kernel.packed.flags.c_contiguous
         assert np.shares_memory(kernel.packed, base)
+
+
+@pytest.mark.parametrize("family, t", [("sinc", 0.5), ("gaussian", 1.5)])
+def test_a_run_cannot_change_its_kernels(family, t):
+    # A kernel is checked once, when it is built, and its packed row is
+    # read-only from then on: on the first rung (gaussian) and after the
+    # shrink below the top (sinc) alike.
+    result = decompose(family, t, grid_n=40)
+    for kernel in result.kernels:
+        assert not kernel.packed.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        result.kernels[2].packed[1] = np.nan
 
 
 def test_a_profiled_run_keeps_the_sectors_of_a_plain_one():
@@ -360,7 +373,11 @@ def _planting(monkeypatch, plant):
 
 
 def _non_finite(kernels):
-    kernels[2].packed[1] = np.nan
+    # A kernel's packed row is read-only, so a NaN is planted in a copy,
+    # which is rejected when it is turned into a kernel.
+    packed = kernels[2].packed.copy()
+    packed[1] = np.nan
+    kernels[2] = dataclasses.replace(kernels[2], packed=packed)
 
 
 def _asymmetric(kernels):
@@ -368,7 +385,9 @@ def _asymmetric(kernels):
     # when it is turned into a kernel.
     matrix = kernels[2].matrix
     matrix[0, 1] += 1e-8
-    kernels[2] = biphoton.SectorKernel(2, kernels[2].p_m, matrix, kernels[2].grid)
+    kernels[2] = biphoton.SectorKernel.from_matrix(
+        2, kernels[2].p_m, matrix, kernels[2].grid
+    )
 
 
 @pytest.mark.parametrize(

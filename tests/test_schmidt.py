@@ -106,14 +106,14 @@ def test_rejects_asymmetric_kernel():
     grid = build_radial_grid(3, 0.0, 1.0)
     matrix = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="asymmetric"):
-        decompose_sector(SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid))
+        decompose_sector(SectorKernel.from_matrix(0, 1.0, matrix, grid))
 
 
 def test_rejects_non_finite_kernel():
     grid = build_radial_grid(2, 0.0, 1.0)
     matrix = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
-        decompose_sector(SectorKernel(m=0, p_m=1.0, matrix=matrix, grid=grid))
+        decompose_sector(SectorKernel.from_matrix(0, 1.0, matrix, grid))
 
 
 def test_plus_minus_pair_puts_positive_eigenvalue_first():
@@ -130,7 +130,7 @@ def test_plus_minus_pair_puts_positive_eigenvalue_first():
     e = 0.5
     for plus, minus in ((inner, outer), (outer, inner)):
         matrix = e * (np.outer(plus, plus) - np.outer(minus, minus))
-        sector = decompose_sector(SectorKernel(m=7, p_m=1.0, matrix=matrix, grid=grid))
+        sector = decompose_sector(SectorKernel.from_matrix(7, 1.0, matrix, grid))
         assert sector.signs.tolist() == [1.0, -1.0]
         assert sector.gammas == pytest.approx([e * e, e * e], rel=1e-12)
         assert [radial_node_count(mode) for mode in sector.modes] == [0, 0]
@@ -156,7 +156,7 @@ def test_degeneracy_gap_is_relative_to_the_neighbors():
         sign * np.sqrt(gamma) * np.outer(p, p)
         for sign, gamma, p in zip(signs, gammas, profiles)
     )
-    sector = decompose_sector(SectorKernel(m=37, p_m=1.0, matrix=matrix, grid=grid))
+    sector = decompose_sector(SectorKernel.from_matrix(37, 1.0, matrix, grid))
     assert sector.gammas[:3] == pytest.approx(gammas, rel=1e-6)
     assert sector.signs[:3].tolist() == signs
     assert [mode.n for mode in sector.modes[:3]] == [0, 1, 2]
@@ -198,7 +198,7 @@ def test_degenerate_groups_match_loop_reference():
         e = np.concatenate([e, rng.uniform(-1e-8, 1e-8, 30 - e.size)])
         matrix = (basis * e) @ basis.T
         matrix = 0.5 * (matrix + matrix.T)
-        sector = decompose_sector(SectorKernel(m=5, p_m=1.0, matrix=matrix, grid=grid))
+        sector = decompose_sector(SectorKernel.from_matrix(5, 1.0, matrix, grid))
         eigenvalues = np.linalg.eigvalsh(matrix)
         order = _reference_order(eigenvalues)
         assert sector.gammas.tolist() == (eigenvalues[order] ** 2).tolist()
@@ -331,7 +331,7 @@ def test_sector_rank_holds_in_the_table(sinc_quarter):
 
 def _toy_sector(m, gammas, grid):
     count = len(gammas)
-    kernel = SectorKernel(m=m, p_m=1.0, matrix=np.eye(grid.count), grid=grid)
+    kernel = SectorKernel.from_matrix(m, 1.0, np.eye(grid.count), grid)
     return SectorSpectrum(
         m=m,
         gammas=np.array(gammas),
