@@ -96,7 +96,7 @@ def _packing(n: int) -> _Packing:
     return packing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorKernel:
     """One orbital-angular-momentum sector of the amplitude.
 

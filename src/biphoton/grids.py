@@ -23,7 +23,7 @@ N_THETA = 512
 """Default number of relative-azimuth samples of a run."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Gauss-Legendre quadrature rule on a truncated radial interval.
 

@@ -244,7 +244,7 @@ class RunConfig:
         return build_radial_grid(self.grid_n, self.mu_c, k_hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """Everything one decomposition run produced."""
 

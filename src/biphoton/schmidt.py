@@ -59,7 +59,7 @@ products underflow into subnormals, which slow the matrix product
 threefold and add nothing to a sum of squares of order 1e-30 or more."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtMode:
     """Radial Schmidt mode phi_{n,m} sampled on the quadrature grid.
 
@@ -76,7 +76,7 @@ class SchmidtMode:
     grid: RadialGrid = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorSpectrum:
     """Eigenvalues of one sector kernel, with its modes built on demand.
 
@@ -210,34 +210,20 @@ def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:
 def _tied_runs(lam: np.ndarray, round_off: np.ndarray) -> np.ndarray:
     """Run index of each entry of a descending lambda table.
 
-    A run starts at its head and takes every following entry within
-    max(1e-9 head, round_off[head], round_off[entry]) of the head. An
-    entry that joins a run is within max(1e-9 lambda / (1 - 1e-9),
-    round_off.max()) of its predecessor, so a gap of more than twice
-    that bound, taken at the lower entry, always starts a run. Only the
-    segments between such gaps are walked from head to head.
+    The table is walked once from head to head. A run starts at its head
+    and takes every following entry within max(1e-9 head, round_off[head],
+    round_off[entry]) of the head; the first entry farther away is the
+    head of the next run.
     """
-    ro_max = float(round_off.max(initial=0.0))
-    bound = np.maximum(
-        _DEGENERACY_RTOL * (lam[1:] + ro_max) / (1.0 - _DEGENERACY_RTOL), ro_max
-    )
-    starts = np.ones(lam.size, dtype=bool)
-    starts[1:] = lam[:-1] - lam[1:] > 2.0 * bound
-    cuts = np.flatnonzero(starts)
-    ends = np.append(cuts[1:], lam.size)
-    walk = ends - cuts > 1
-    values, scales = lam.tolist(), round_off.tolist()
-    for lo, hi in zip(cuts[walk].tolist(), ends[walk].tolist()):
-        i = lo
-        while i < hi:
-            head = values[i]
-            reach = max(_DEGENERACY_RTOL * head, scales[i])
-            j = i + 1
-            while j < hi and head - values[j] <= max(reach, scales[j]):
-                j += 1
-            starts[i] = True
-            i = j
-    return np.cumsum(starts)
+    starts = []
+    head, reach = math.inf, 0.0
+    for value, scale in zip(lam.tolist(), round_off.tolist()):
+        gap = head - value
+        start = gap > reach and gap > scale
+        if start:
+            head, reach = value, max(_DEGENERACY_RTOL * value, scale)
+        starts.append(start)
+    return np.cumsum(starts, dtype=np.intp)
 
 
 def assemble_spectrum(

@@ -44,6 +44,8 @@ def test_model_validation():
         AmplitudeModel(AmplitudeFamily.GAUSSIAN_SINC, sigma_perp=0.0)
     with pytest.raises(ValueError):
         AmplitudeModel(AmplitudeFamily.GAUSSIAN_SINC, cutoff=-0.1)
+    with pytest.raises(ValueError, match="norm_constant"):
+        AmplitudeModel(AmplitudeFamily.GAUSSIAN_SINC, norm_constant=-1.0)
     with pytest.raises(ValueError):
         TransverseVector(k_mag=-1.0, theta=0.0)
     for bad in (float("nan"), float("inf")):

@@ -201,6 +201,40 @@ def test_config_file_wrong_types_exit_2(workdir, capsys):
     assert sorted(path.name for path in workdir.iterdir()) == ["cfg.json"]
 
 
+def test_config_range_object_runs_like_the_range_flag(workdir):
+    span = {"start": 0.5, "stop": 2.0, "count": 3, "log": True}
+    (workdir / "cfg.json").write_text(json.dumps({"bsigma_range": span}))
+    base = ["sweep", "--family", "gaussian"]
+    assert main([*base, "--config", "cfg.json", "--out", "object.csv"]) == 0
+    assert main([*base, "--bsigma-range", "0.5:2:3:log", "--out", "flag.csv"]) == 0
+    text = (workdir / "object.csv").read_text(encoding="utf-8")
+    assert text == (workdir / "flag.csv").read_text(encoding="utf-8")
+    metadata, _, rows = _read_csv(workdir / "object.csv")
+    assert metadata["b_sigma.count"] == "3"
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "config, extra, message",
+    [
+        ({"bsigma_range": {"start": 0.5, "stop": 2.0}}, [], "needs start, stop, count"),
+        ({"bsigma_range": [0.5, 2.0, 3]}, [], "unrecognized sweep range"),
+        (None, [], "cannot read config file"),
+        ([{"family": "gaussian"}], [], "must hold a JSON object"),
+        ({}, ["--physical", "--length", "0.002", "--pump-omega", "2.3e15",
+              "--pump-waist", "0"], "--pump-waist must be positive"),
+    ],
+    ids=["range-without-count", "range-list", "unreadable", "json-array", "zero-waist"],
+)
+def test_bad_config_inputs_exit_2(workdir, capsys, fill_shapes, config, extra, message):
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+    assert main(["sweep", "--family", "gaussian", "--config", "cfg.json", *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert fill_shapes == []
+    assert not (workdir / "sweep.csv").exists()
+
+
 def test_missing_control_parameter(workdir, capsys):
     assert main(["decompose", "--family", "gaussian"]) == 2
     assert "control parameter" in capsys.readouterr().err

@@ -144,6 +144,12 @@ def test_mode_peak_sign_positive():
         assert values[np.argmax(np.abs(values))] > 0.0
 
 
+def test_analytic_mode_rejects_a_negative_index():
+    grid = build_radial_grid(20, 0.0, 8.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        analytic_mode(-1, 0, 1.5, grid)
+
+
 def test_sector_coefficient_properties(gauss_model_grid):
     model, grid = gauss_model_grid
     k = grid.nodes[::40]

@@ -60,6 +60,8 @@ def test_grid_validation():
             build_radial_grid(10, 0.0, bad)
     nodes = np.array([0.5, 0.4])
     weights = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="matching"):
+        RadialGrid(nodes=np.array([0.2, 0.8]), weights=np.ones(3), k_min=0.0, k_max=1.0)
     with pytest.raises(ValueError, match="increasing"):
         RadialGrid(nodes=nodes, weights=weights, k_min=0.0, k_max=1.0)
     with pytest.raises(ValueError, match="positive"):

@@ -146,6 +146,25 @@ def test_a_run_cannot_change_its_kernels(family, t):
         result.kernels[2].packed[1] = np.nan
 
 
+_RECORDS = {
+    "grid": lambda: biphoton.build_radial_grid(24, 0.0, 8.0),
+    "result": lambda: decompose("gaussian", 1.5, grid_n=24),
+    "kernel": lambda: decompose("gaussian", 1.5, grid_n=24).kernels[0],
+    "sector": lambda: decompose("gaussian", 1.5, grid_n=24).sector_spectra[0],
+    "mode": lambda: decompose("gaussian", 1.5, grid_n=24).sector_spectra[0].modes[0],
+}
+
+
+@pytest.mark.parametrize("record", list(_RECORDS))
+def test_records_holding_arrays_compare_by_identity(record):
+    # Two builds from the same input hold equal arrays; == and hashing go
+    # by identity and never compare the arrays.
+    first, second = _RECORDS[record](), _RECORDS[record]()
+    assert first == first
+    assert first != second
+    assert len({first, second, first}) == 2
+
+
 def test_a_profiled_run_keeps_the_sectors_of_a_plain_one():
     # A profiler or tracer holds one more reference to the top coefficient
     # array, and ndarray.resize refuses to shrink it then; the kept sectors
