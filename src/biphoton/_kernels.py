@@ -6,13 +6,11 @@ and the amplitude tensor that normalization and the angular Fourier pass
 sweep through :func:`row_blocks`. The tensor is
 stored azimuth-major, element [i, u, j] at (k_i, dtheta_u, k_j), so a
 radial row i is an (n_theta, N) block whose rows run over the azimuth and
-whose contiguous axis runs over the second photon's k. The sweep fills it
-in tiles of whole radial rows, as many as fit a 2 MiB budget
-(:func:`tile_rows`, 2 rows at N = 200 and n_theta = 512), so that each
-consumer reads a tile back from cache; the tile height depends only on
-the grid shape. :func:`fill_amplitude_block` fills a tile with NumPy one
-radial row at a time, into workspaces the sweep allocates once, leaving
-the normalization constant to the caller.
+whose contiguous axis runs over the second photon's k. The sweep fills
+and hands on one radial row at a time (an (n_theta, N) block, 0.8 MiB at
+N = 200 and n_theta = 512). :func:`fill_amplitude_block` fills any
+number of radial rows with NumPy, one at a time, into workspaces the
+sweep allocates once, leaving the normalization constant to the caller.
 
 The formula needs xc = 2 k q cos(dtheta) only inside linear forms
 a s + b xc with s = k^2 + q^2: the sinc envelope's exponent -s - xc and
@@ -20,7 +18,7 @@ argument s - xc, the double-Gaussian exponent -(1 + t^2) s +
 (t^2 - 1) xc. Each form of a radial row is one BLAS matrix product of
 the (n_theta // 2 + 1, 2) table [cos(dtheta_u), 1] (:func:`cos_table`)
 with the (2, N) block [[b 2 k_r k_j], [a s_j]], written straight into
-the tile row or a workspace; the pointwise evaluate and the
+the tensor row or a workspace; the pointwise evaluate and the
 equal-magnitude slice pass the same (table, 2 k q, s) description.
 OpenBLAS adds the two terms in order, so each value rounds as
 round(round(cos_u (b 2 k_r k_j)) + a s_j): the sinc forms are bitwise
@@ -32,7 +30,7 @@ depend on the BLAS thread count.
 The fill is bitwise symmetric under the exchange of the two photons,
 k_i <-> k_j: both the sum k_i^2 + k_j^2 and the product 2 k_i k_j round
 the same either way. The sweeps' consumers therefore read only the
-columns j >= i of a tile's rows i (the upper triangle) and count the
+columns j >= i of each radial row i (the upper triangle) and count the
 rest through the transpose.
 
 The amplitude depends on the two azimuths only through cos(dtheta), so
@@ -215,10 +213,10 @@ def _clears_floor(exponent, table, t2):
 def mirror_weights(n_theta):
     """Weights of the distinct azimuth rows u = 0 .. n_theta // 2.
 
-    A sum over all n_theta rows of a tile equals the sum over the
-    distinct rows weighted by these: 1 for u = 0 and, when n_theta is
-    even, for u = n_theta / 2, which have no mirror; 2 for every other
-    row, which also stands for row n_theta - u.
+    A sum over all n_theta azimuth rows of a radial row equals the sum
+    over the distinct rows weighted by these: 1 for u = 0 and, when
+    n_theta is even, for u = n_theta / 2, which have no mirror; 2 for
+    every other row, which also stands for row n_theta - u.
     """
     weights = np.full(n_theta // 2 + 1, 2.0)
     weights[0] = 1.0
@@ -281,37 +279,18 @@ def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
         row[h:] = row[n_theta - h : 0 : -1]
 
 
-_TILE_BYTES = 2 << 20
-"""Byte budget of one row tile of the tensor, about one core's L2 cache."""
-
-
-def tile_rows(n, n_theta):
-    """Radial rows per tile of the (n, n_theta, n) tensor.
-
-    As many as fit _TILE_BYTES, at least one: 2 at n = 200 and
-    n_theta = 512.
-    """
-    return max(1, _TILE_BYTES // (8 * n * n_theta))
-
-
 def row_blocks(family: AmplitudeFamily, t, grid: RadialGrid, n_theta: int):
-    """Sweep the unit-constant amplitude tensor on a grid in row tiles.
+    """Sweep the unit-constant amplitude tensor on a grid one radial row at a time.
 
-    Yields (start, stop, block) with block[r, u, j] the amplitude at
-    (k[start + r], dtheta[u], k[j]) on ``angular_grid(n_theta)``, shape
-    (stop - start, n_theta, N), so the full tensor never materializes.
-    The block is a view of one buffer that the next step overwrites;
-    consumers may modify it in place. Tiles are ``tile_rows(N, n_theta)``
-    rows high, so that a consumer reads each tile back from cache; the
-    buffer and the fill workspaces are allocated once per sweep.
+    Yields (i, row) with row[u, j] the amplitude at (k[i], dtheta[u], k[j])
+    on ``angular_grid(n_theta)``, shape (n_theta, N), so the full tensor
+    never materializes. The row is a view of one buffer that the next step
+    overwrites; consumers may modify it in place. The buffer and the fill
+    workspaces are allocated once per sweep.
     """
     k = grid.nodes
-    n = grid.count
-    block_rows = tile_rows(n, n_theta)
-    buf = np.empty((min(block_rows, n), n_theta, n))
-    workspace = fill_workspace(n, n_theta)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        block = buf[: stop - start]
-        fill_amplitude_block(block, family, k[start:stop], k, t, workspace)
-        yield start, stop, block
+    buf = np.empty((1, n_theta, grid.count))
+    workspace = fill_workspace(grid.count, n_theta)
+    for i in range(grid.count):
+        fill_amplitude_block(buf, family, k[i : i + 1], k, t, workspace)
+        yield i, buf[0]

@@ -160,23 +160,23 @@ def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) ->
     amplitude to three dimensions: 2pi * Int |C(k, q, dtheta)|^2 k q
     dk dq dtheta, evaluated here with Gauss-Legendre weights radially and
     a uniform rule in the relative azimuth. Works in sigma_perp-scaled
-    units with the normalization constant set to one; the sweep in row
-    tiles keeps the memory footprint flat. The amplitude is even in
-    dtheta, so each tile squares only its distinct azimuth rows
+    units with the normalization constant set to one; the sweep one
+    radial row at a time keeps the memory footprint flat. The amplitude
+    is even in dtheta, so each row squares only its distinct azimuth rows
     u = 0 .. n_theta // 2 and weighs them by 1, 2, ..., 2, 1; it is also
-    symmetric under k <-> q, so only the columns from the diagonal on are
-    summed, and a column past the tile counts twice.
+    symmetric under k <-> q, so row i sums only the columns j >= i, and a
+    column j > i counts twice.
     """
     h = n_theta // 2 + 1
     mirror = _kernels.mirror_weights(n_theta)
     wk = grid.weights * grid.nodes
+    columns = 2.0 * wk
     total = 0.0
-    blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
-    for start, stop, out in blocks:
-        upper = np.square(out[:, :h, start:], out=out[:, :h, start:])
-        columns = wk[start:].copy()
-        columns[stop - start :] *= 2.0
-        total += float(wk[start:stop] @ (mirror @ upper) @ columns)
+    for i, row in _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta):
+        upper = np.square(row[:h, i:], out=row[:h, i:])
+        # The diagonal column counts once; later rows read only j > i.
+        columns[i] = wk[i]
+        total += wk[i] * float(mirror @ upper @ columns[i:])
     return total * (2.0 * np.pi) * (2.0 * np.pi / n_theta)
 
 

@@ -8,17 +8,18 @@ symmetric radial kernel whose eigendecomposition is handled downstream.
 
 Both passes sample a uniform azimuth grid, which is spectrally accurate
 here because the integrand is smooth and periodic. Both passes contract
-the distinct azimuth rows of each azimuth-major row tile with one
+the distinct azimuth rows of each azimuth-major radial row with one
 mirror-weighted (m + 1, n_theta / 2 + 1) cosine table, so the product
 comes out m-major: the scan pass reduces the first rung of the sector
 schedule, m <= 8, to P_m, and the coefficient pass stores the kernels.
 Only m >= 0 is stored; the amplitude is real and even in the relative
 azimuth, so P_m = P_{-m} and the kernels coincide. The amplitude is also
 exactly symmetric under the exchange of the two photons, so both passes
-project only the upper triangle j >= i of each row tile: the scan weighs
-the pairs off the tile twice, and the coefficient pass stores each kernel
-as that triangle alone, row-packed in N (N + 1) / 2 values (the LAPACK
-packed storage of a symmetric matrix). Only this module knows the layout:
+project only the columns j >= i of each radial row i (the upper
+triangle): the scan weighs the pairs off the diagonal twice, and the
+coefficient pass stores each kernel as that triangle alone, row-packed
+in N (N + 1) / 2 values (the LAPACK packed storage of a symmetric
+matrix). Only this module knows the layout:
 P_m is one sum over a packed row, and a SectorKernel, checked when it is
 built and read-only after, expands into its full, exactly symmetric
 matrix when one is read.
@@ -163,18 +164,18 @@ class SectorKernel:
 
 
 def _cosine_projections(model, grid, n_theta, m_keep):
-    """Yield (start, stop, coef) with coef[r, m, j] = G_m(k[start + r], k[start + j]).
+    """Yield (i, coef) with coef[m, c] = G_m(k[i], k[i + c]), one radial row at a time.
 
     m runs over 0 .. m_keep. Only the upper triangle is projected: the
     fill is exactly symmetric under the exchange of the two photons,
-    G_m(k_i, k_j) == G_m(k_j, k_i), so the columns j < start of a tile
-    repeat rows that earlier tiles hold. The amplitude is even in
-    dtheta, so its cosine transform needs only the distinct azimuth rows
-    u = 0 .. n_theta // 2, the interior ones standing for two grid
-    points each. Each radial row of a tile is multiplied from the left
-    by an (m_keep + 1, n_theta // 2 + 1) cosine table that carries
-    those mirror weights and the normalization; coef is a view of one
-    buffer that the next step overwrites.
+    G_m(k_i, k_j) == G_m(k_j, k_i), so the columns j < i of row i repeat
+    rows that earlier steps hold. The amplitude is even in dtheta, so its
+    cosine transform needs only the distinct azimuth rows
+    u = 0 .. n_theta // 2, the interior ones standing for two grid points
+    each. Each radial row is multiplied from the left by an
+    (m_keep + 1, n_theta // 2 + 1) cosine table that carries those mirror
+    weights and the normalization; coef, shape (m_keep + 1, N - i), is a
+    view of one buffer that the next step overwrites.
     """
     h = n_theta // 2 + 1
     n = grid.count
@@ -182,33 +183,30 @@ def _cosine_projections(model, grid, n_theta, m_keep):
     # cos(2 pi m u / n_theta) read from the folded, exactly even table.
     table = cos_dtheta[np.outer(np.arange(m_keep + 1), np.arange(h)) % n_theta]
     table *= model.unit_norm_constant / n_theta * _kernels.mirror_weights(n_theta)
-    buf = None
-    blocks = _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta)
-    for start, stop, out in blocks:
-        if buf is None:
-            buf = np.empty((stop - start) * (m_keep + 1) * n)
-        coef = buf[: (stop - start) * (m_keep + 1) * (n - start)]
-        coef = coef.reshape(stop - start, m_keep + 1, n - start)
+    buf = np.empty((m_keep + 1) * n)
+    for i, row in _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta):
+        coef = buf[: (m_keep + 1) * (n - i)].reshape(m_keep + 1, n - i)
         # The fill stores no magnitude below 2^-900, so no product here
         # comes out subnormal; such products ran this projection at half
-        # speed on sinc 0.25 blocks.
-        yield start, stop, np.matmul(table, out[:, :h, start:], out=coef)
+        # speed on sinc 0.25 rows.
+        yield i, np.matmul(table, row[:h, i:], out=coef)
 
 
 def _scan_pass(model, grid, n_theta):
     """P_m for m = 0 .. 8, the first rung of the adaptive_sectors schedule.
 
-    Each tile's squared coefficients are reduced against the
-    w_i k_i w_j k_j weights; a column past the tile also stands for its
+    Each row's squared coefficients are reduced against the
+    w_i k_i w_j k_j weights; a column j > i also stands for its
     transposed pair and weighs twice.
     """
     wk = grid.weights * grid.nodes
+    columns = 2.0 * wk
     p_m = np.zeros(_FIRST_RUNG + 1)
-    for start, stop, coef in _cosine_projections(model, grid, n_theta, _FIRST_RUNG):
+    for i, coef in _cosine_projections(model, grid, n_theta, _FIRST_RUNG):
         np.square(coef, out=coef)
-        weight = np.outer(wk[start:stop], wk[start:])
-        weight[:, stop - start :] *= 2.0
-        p_m += np.einsum("rmj,rj->m", coef, weight)
+        # The diagonal column counts once; later rows read only j > i.
+        columns[i] = wk[i]
+        p_m += wk[i] * (coef @ columns[i:])
     return p_m * _TWO_PI**2
 
 
@@ -217,17 +215,15 @@ def _coefficient_pass(model, grid, n_theta, m_keep):
 
     The result is sector-major, shape (m_keep + 1, N (N + 1) / 2): row m
     is the upper triangle of G_m, packed row by row as SectorKernel keeps
-    it. Each radial row i of a tile stores its projections from the
-    diagonal on, j = i .. N - 1, straight into its packed rows.
+    it. Radial row i's projections, j = i .. N - 1, are copied straight
+    into its packed segment, which follows row i - 1's.
     """
     n = grid.count
     gcoef = np.empty((m_keep + 1, n * (n + 1) // 2))
-    for start, stop, coef in _cosine_projections(model, grid, n_theta, m_keep):
-        offset = start * n - start * (start - 1) // 2
-        for r in range(stop - start):
-            width = n - start - r
-            gcoef[:, offset : offset + width] = coef[r, :, r:]
-            offset += width
+    offset = 0
+    for i, coef in _cosine_projections(model, grid, n_theta, m_keep):
+        gcoef[:, offset : offset + n - i] = coef
+        offset += n - i
     return gcoef
 
 

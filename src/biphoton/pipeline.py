@@ -161,7 +161,8 @@ class RunConfig:
     command line builds one from its flags and config file, so every bad
     value fails here, before any amplitude is computed; that includes a
     b_sigma, or a point of the sweep, whose square, 2 k_max^2, the norm
-    integral's radial weight products or the closed-form K overflows. At
+    integral's radial weight products or the closed-form K overflows, or
+    whose radial truncation k_max does not lie past the cutoff mu_c. At
     most one of b_sigma and sweep is set; a command that needs the
     control parameter requires one of them. The defaults of kmax_factor, n_theta and
     sector_tol are the named constants that the stage functions' keyword
@@ -211,8 +212,11 @@ class RunConfig:
         # The norm integral weighs each pair by w_i k_i w_j k_j, at most
         # (k_max (k_max - mu_c))^2 since the Gauss-Legendre weights sum
         # to k_max - mu_c, and the oracle reports the closed-form K.
-        # A b_sigma that overflows any of them has no finite result.
+        # A b_sigma that overflows any of them has no finite result, and
+        # a cutoff at or past k_max leaves no grid.
         k_max = self._k_max(b_sigma)
+        if self.mu_c >= k_max:
+            raise ValueError("cutoff exceeds the radial truncation")
         wk = k_max * (k_max - self.mu_c)
         bounds = (b_sigma * b_sigma, 2 * k_max * k_max, wk * wk)
         if any(map(math.isinf, bounds)) or math.isinf(analytic_K(b_sigma)):
@@ -238,10 +242,7 @@ class RunConfig:
         (so the hard filter never straddles quadrature nodes) and k_max is
         stretched because the surviving amplitude lives at larger k.
         """
-        k_hi = self._k_max(self.b_sigma)
-        if self.mu_c >= k_hi:
-            raise ValueError("cutoff exceeds the radial truncation")
-        return build_radial_grid(self.grid_n, self.mu_c, k_hi)
+        return build_radial_grid(self.grid_n, self.mu_c, self._k_max(self.b_sigma))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,9 @@ def sinc_quarter():
 
 @pytest.fixture
 def fill_shapes(monkeypatch):
-    """Shapes of the tiles passed to _kernels.fill_amplitude_block, in call order.
+    """Shapes of the blocks passed to _kernels.fill_amplitude_block, in call order.
+
+    A sweep passes one (1, n_theta, N) radial row per call.
 
     perfbench counts the values a run fills the same way, from the size
     of the first argument.

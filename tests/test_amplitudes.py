@@ -242,6 +242,8 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     kept = np.abs(plain) >= _kernels._FLOOR
     assert np.any(kept) and np.any(~kept)
     assert np.array_equal(out[:, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
+    # The mirror rows are written too: no NaN of the starting buffer is left.
+    assert not np.isnan(out).any()
     magnitude = np.abs(out)
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
 
@@ -305,8 +307,8 @@ def test_sinc_fill_raises_no_floating_point_exception(t, mu_c):
     # subnormal before the flush zeroes it.
     grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for _, _, block in _kernels.row_blocks(AmplitudeFamily.GAUSSIAN_SINC, t, grid, 512):
-            assert np.all(np.isfinite(block))
+        for _, row in _kernels.row_blocks(AmplitudeFamily.GAUSSIAN_SINC, t, grid, 512):
+            assert np.all(np.isfinite(row))
 
 
 @pytest.mark.parametrize("t", [0.5, 0.999, 1.0, 1.001, 1.8, 2.5])
@@ -453,42 +455,22 @@ def test_fill_bytes_do_not_depend_on_the_blas_thread_count(family, t):
     assert len(digests) == 1
 
 
-def test_row_tiles_fit_the_byte_budget():
-    assert _kernels.tile_rows(200, 512) == 2
-    assert _kernels.tile_rows(40, 512) == 12
-    assert _kernels.tile_rows(4000, 1024) == 1
-    for n, n_theta in ((200, 512), (40, 512), (150, 256), (77, 1024)):
-        row_bytes = 8 * n * n_theta
-        rows = _kernels.tile_rows(n, n_theta)
-        assert rows * row_bytes <= _kernels._TILE_BYTES < (rows + 1) * row_bytes
-
-
 @pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
-def test_row_blocks_tensor_is_independent_of_the_tile_height(monkeypatch, family, t):
-    # One workspace serves every tile of a sweep; stale rows of the last
-    # tile and of the workspace must not leak into the next.
+def test_row_sweep_is_one_fill_of_the_whole_tensor(family, t):
+    # One buffer and one workspace serve every row of a sweep; stale
+    # values of the last row and of the workspace must not leak into the
+    # next, so every row is bitwise that of one fill of the whole tensor.
     family = AmplitudeFamily(family)
     grid = build_radial_grid(37, 0.0, default_k_max(t))
     full = np.empty((grid.count, 256, grid.count))
     _kernels.fill_amplitude_block(full, family, grid.nodes, grid.nodes, t)
-    for rows in (_kernels.tile_rows(grid.count, 256), 1, 3, 16, 37, 99):
-        monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
-        tiles = []
-        for start, stop, block in _kernels.row_blocks(family, t, grid, 256):
-            assert block.shape == (stop - start, 256, grid.count)
-            tiles.append(block.copy())
-        assert np.array_equal(np.concatenate(tiles), full)
-
-
-def test_unit_norm_integral_block_size_independent(monkeypatch):
-    model = AmplitudeModel.from_b_sigma("sinc", 0.5)
-    grid = build_radial_grid(150, 0.0, default_k_max(0.5))
-    monkeypatch.setattr(_kernels, "tile_rows", lambda *_: 16)
-    reference = unit_norm_integral(model, grid, 256)
-    for rows in (1, 7, 150, 999):
-        monkeypatch.setattr(_kernels, "tile_rows", lambda *_, rows=rows: rows)
-        value = unit_norm_integral(model, grid, 256)
-        assert value == pytest.approx(reference, rel=1e-13)
+    rows = []
+    for i, row in _kernels.row_blocks(family, t, grid, 256):
+        assert i == len(rows)
+        assert row.shape == (256, grid.count)
+        rows.append(row.copy())
+        row[...] = np.nan
+    assert np.array_equal(np.stack(rows), full)
 
 
 @pytest.mark.parametrize("n_theta", [15, 64])

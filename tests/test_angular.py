@@ -179,10 +179,8 @@ def test_cosine_projection_matches_real_fft(n_theta):
     grid = build_radial_grid(24, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma("sinc", t), grid, n_theta)
     scale = model.unit_norm_constant / n_theta
-    blocks = _kernels.row_blocks(model.family, t, grid, n_theta)
-    reference = np.concatenate(
-        [np.fft.rfft(block, axis=1).real * scale for _, _, block in blocks]
-    )
+    rows = _kernels.row_blocks(model.family, t, grid, n_theta)
+    reference = np.stack([np.fft.rfft(row, axis=0).real * scale for _, row in rows])
     for m_keep in (0, 8, 128, 255):
         gcoef = _coefficient_pass(model, grid, n_theta, m_keep)
         expected = np.moveaxis(reference[:, : m_keep + 1], 1, 0)
@@ -201,9 +199,9 @@ def test_scan_probabilities_sum_to_one(family, t):
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     wk = grid.weights * grid.nodes
     reference = np.zeros(257)
-    for start, stop, block in _kernels.row_blocks(model.family, t, grid, 512):
-        g = np.square(np.fft.rfft(block, axis=1).real)
-        reference += np.einsum("i,j,imj->m", wk[start:stop], wk, g)
+    for i, row in _kernels.row_blocks(model.family, t, grid, 512):
+        g = np.square(np.fft.rfft(row, axis=0).real)
+        reference += wk[i] * np.einsum("j,mj->m", wk, g)
     reference *= (2.0 * np.pi * model.unit_norm_constant / 512) ** 2
     total = reference[0] + 2.0 * reference[1:-1].sum() + reference[-1]
     assert total == pytest.approx(1.0, abs=1e-14)

@@ -166,6 +166,25 @@ def test_b_sigma_with_a_sweep_range_exits_2(workdir, capsys, fill_shapes):
     assert sorted(path.name for path in workdir.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "--bsigma", "0.5"],
+        ["filter", "--bsigma", "0.5"],
+        ["sweep", "--bsigma-range", "0.5:1:2"],
+        ["slice", "--bsigma", "0.5"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cutoff_beyond_the_truncation_exits_2(workdir, capsys, fill_shapes, args):
+    # The stretched truncation at b_sigma 0.5 is 24; the range rule
+    # rejects the run, or every sweep point, before anything is filled.
+    assert main([*args, "--family", "sinc", "--mu-c", "1000"]) == 2
+    assert "cutoff exceeds the radial truncation" in capsys.readouterr().err
+    assert fill_shapes == []
+    assert not any(workdir.iterdir())
+
+
 def test_config_file_unknown_key(workdir, capsys):
     (workdir / "cfg.json").write_text(json.dumps({"famly": "gaussian"}))
     assert main(["decompose", "--config", "cfg.json", "--bsigma", "1.0"]) == 2
@@ -355,16 +374,18 @@ def test_sweep_is_thread_count_invariant(workdir):
 
 
 def test_sweep_records_per_point_errors(workdir, capsys):
+    # Narrow sinc points need more sectors than a 64-point azimuth grid,
+    # doubled twice, can resolve.
     args = [
-        "sweep", "--family", "sinc", "--bsigma-range", "0.8:1.2:2",
-        "--mu-c", "50", "--grid-n", "100", "--ntheta", "128",
+        "sweep", "--family", "sinc", "--bsigma-range", "0.05:0.06:2",
+        "--grid-n", "24", "--ntheta", "64",
     ]
     assert main(args) == 1
     _, header, rows = _read_csv(workdir / "sweep.csv")
     assert header == ["b_sigma", "K_sinc", "error"]
     for _, k_sinc, error in rows:
         assert k_sinc == ""
-        assert "cutoff exceeds" in error
+        assert "angular resolution exhausted" in error
     assert "2 failed" in capsys.readouterr().out
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import biphoton
-import biphoton._kernels
 from biphoton import (
     RunConfig,
     SweepRange,
@@ -194,13 +193,14 @@ def test_stopping_below_the_top_holds_no_second_coefficient_array():
     # At grid_n 120 the sinc 0.5 schedule stops at 64 of 128. The top
     # array of packed kernels is 7.5 MB; a right-sized copy of its
     # leading 65 sectors would add 3.8 MB at once. The sweep itself adds
-    # one tile (at most _TILE_BYTES), its projection buffer and the fill
-    # workspaces, each smaller than a tile, so the peak stays below two
-    # tiles past the top array. The kept sectors are bitwise the top
-    # pass's leading ones.
+    # one radial row of the tensor (0.49 MB), its projection buffer and
+    # the fill workspaces, each at most a row, so the peak stays below
+    # four rows past the top array (1.97 MB). The kept sectors are
+    # bitwise the top pass's leading ones.
     grid = RunConfig(family="sinc", b_sigma=0.5, grid_n=120).radial_grid()
     model = biphoton.normalize(biphoton.AmplitudeModel.from_b_sigma("sinc", 0.5), grid, 512)
     top = 129 * grid.count * (grid.count + 1) // 2 * 8
+    row = 512 * grid.count * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -209,30 +209,11 @@ def test_stopping_below_the_top_holds_no_second_coefficient_array():
     finally:
         tracemalloc.stop()
     assert (len(sectors), n_theta) == (65, 512)
-    assert peak - before < top + 2 * biphoton._kernels._TILE_BYTES
+    assert peak - before < top + 4 * row
     reference = biphoton.angular_fourier(model, grid, 128, 512)
     for kept, full in zip(sectors, reference):
         assert kept.p_m == full.p_m
         assert np.array_equal(kept.matrix, full.matrix)
-
-
-@pytest.mark.parametrize("family, t", [("gaussian", 1.5), ("sinc", 0.3)])
-def test_decompose_is_independent_of_the_tile_height(monkeypatch, fill_shapes, family, t):
-    n = 48
-    fills = fill_shapes
-    runs = {}
-    for rows in (1, 3, 16, n):
-        monkeypatch.setattr(biphoton._kernels, "tile_rows", lambda *_, rows=rows: rows)
-        fills.clear()
-        runs[rows] = decompose(family, t, grid_n=n)
-        assert max(shape[0] for shape in fills) == rows
-        assert len(fills) == 3 * -(-n // rows)
-    reference = runs[n]
-    labels = [entry[:2] for entry in reference.spectrum.entries]
-    for result in runs.values():
-        assert result.spectrum.k == pytest.approx(reference.spectrum.k, rel=1e-14, abs=0.0)
-        assert result.m_max == reference.m_max
-        assert [entry[:2] for entry in result.spectrum.entries] == labels
 
 
 def test_sweep_range_points():
