@@ -8,9 +8,9 @@ stored azimuth-major, element [i, u, j] at (k_i, dtheta_u, k_j), so a
 radial row i is an (n_theta, N) block whose rows run over the azimuth and
 whose contiguous axis runs over the second photon's k. The sweep fills
 and hands on one radial row at a time (an (n_theta, N) block, 0.8 MiB at
-N = 200 and n_theta = 512). :func:`fill_amplitude_block` fills any
-number of radial rows with NumPy, one at a time, into workspaces the
-sweep allocates once, leaving the normalization constant to the caller.
+N = 200 and n_theta = 512). :func:`fill_amplitude_block` fills one
+radial row with NumPy, into workspaces the sweep allocates once,
+leaving the normalization constant to the caller.
 
 The formula needs xc = 2 k q cos(dtheta) only inside linear forms
 a s + b xc with s = k^2 + q^2: the sinc envelope's exponent -s - xc and
@@ -242,41 +242,38 @@ def fill_workspace(n, n_theta):
     )
 
 
-def fill_amplitude_block(out, family, k_rows, k, t, workspace=None):
-    """Fill out[r, u, j] with the unit-constant amplitude at (k_rows[r], dtheta[u], k[j]).
+def fill_amplitude_block(out, family, k_row, k, t, workspace):
+    """Fill out[u, j] with the unit-constant amplitude at (k_row, dtheta[u], k[j]).
 
-    The azimuths are ``angular_grid(out.shape[1])``. Per radial row the
-    formula runs straight into the distinct rows u = 0 .. n_theta // 2 of
-    out[r], from the workspace's cosine table, 2 k_rows[r] k and
-    k_rows[r]^2 + k^2; row u > n_theta // 2 is a copy of row
-    n_theta - u, which holds the same cosine, made as one block copy.
+    The azimuths are ``angular_grid(out.shape[0])``. The formula runs
+    straight into the distinct rows u = 0 .. n_theta // 2 of out, from the
+    workspace's cosine table, 2 k_row k and k_row^2 + k^2; row
+    u > n_theta // 2 is a copy of row n_theta - u, which holds the same
+    cosine, made as one block copy.
 
     Parameters
     ----------
-    out : ndarray, shape (len(k_rows), n_theta, len(k))
-        Destination buffer, overwritten in place.
+    out : ndarray, shape (n_theta, len(k))
+        Destination radial row, overwritten in place.
     family : AmplitudeFamily
         As for :func:`amplitude`.
-    k_rows, k : ndarray
-        Radial magnitudes for the first and second photon, in pump-width
-        units.
+    k_row : float
+        Radial magnitude of the first photon, in pump-width units.
+    k : ndarray
+        Radial magnitudes of the second photon, in pump-width units.
     t : float
         Control parameter b_sigma.
-    workspace : tuple, optional
-        ``fill_workspace(len(k), n_theta)``; allocated when omitted.
+    workspace : tuple
+        ``fill_workspace(len(k), n_theta)``.
     """
-    n_theta = out.shape[1]
+    n_theta = out.shape[0]
     h = n_theta // 2 + 1
-    if workspace is None:
-        workspace = fill_workspace(k.size, n_theta)
     table, half, work, live = workspace
-    for r, kr in enumerate(k_rows):
-        row = out[r]
-        amplitude(
-            family, table, 2.0 * kr * k, kr * kr + k * k, t,
-            out=row[:h], half=half, work=work, live=live,
-        )
-        row[h:] = row[n_theta - h : 0 : -1]
+    amplitude(
+        family, table, 2.0 * k_row * k, k_row * k_row + k * k, t,
+        out=out[:h], half=half, work=work, live=live,
+    )
+    out[h:] = out[n_theta - h : 0 : -1]
 
 
 def row_blocks(family: AmplitudeFamily, t, grid: RadialGrid, n_theta: int):
@@ -284,13 +281,13 @@ def row_blocks(family: AmplitudeFamily, t, grid: RadialGrid, n_theta: int):
 
     Yields (i, row) with row[u, j] the amplitude at (k[i], dtheta[u], k[j])
     on ``angular_grid(n_theta)``, shape (n_theta, N), so the full tensor
-    never materializes. The row is a view of one buffer that the next step
+    never materializes. The row is one buffer that the next step
     overwrites; consumers may modify it in place. The buffer and the fill
     workspaces are allocated once per sweep.
     """
     k = grid.nodes
-    buf = np.empty((1, n_theta, grid.count))
+    row = np.empty((n_theta, grid.count))
     workspace = fill_workspace(grid.count, n_theta)
     for i in range(grid.count):
-        fill_amplitude_block(buf, family, k[i : i + 1], k, t, workspace)
-        yield i, buf[0]
+        fill_amplitude_block(row, family, k[i], k, t, workspace)
+        yield i, row

@@ -6,23 +6,22 @@ two-photon state into orbital-angular-momentum sectors with opposite m on
 the two photons. Each sector contributes a probability P_m and a
 symmetric radial kernel whose eigendecomposition is handled downstream.
 
-Both passes sample a uniform azimuth grid, which is spectrally accurate
-here because the integrand is smooth and periodic. Both passes contract
-the distinct azimuth rows of each azimuth-major radial row with one
-mirror-weighted (m + 1, n_theta / 2 + 1) cosine table, so the product
-comes out m-major: the scan pass reduces the first rung of the sector
-schedule, m <= 8, to P_m, and the coefficient pass stores the kernels.
-Only m >= 0 is stored; the amplitude is real and even in the relative
-azimuth, so P_m = P_{-m} and the kernels coincide. The amplitude is also
-exactly symmetric under the exchange of the two photons, so both passes
-project only the columns j >= i of each radial row i (the upper
-triangle): the scan weighs the pairs off the diagonal twice, and the
-coefficient pass stores each kernel as that triangle alone, row-packed
-in N (N + 1) / 2 values (the LAPACK packed storage of a symmetric
-matrix). Only this module knows the layout:
-P_m is one sum over a packed row, and a SectorKernel, checked when it is
-built and read-only after, expands into its full, exactly symmetric
-matrix when one is read.
+One sector pass per call samples a uniform azimuth grid, which is
+spectrally accurate here because the integrand is smooth and periodic.
+It contracts the distinct azimuth rows of each azimuth-major radial row
+with one mirror-weighted (m + 1, n_theta / 2 + 1) cosine table, so the
+product comes out m-major, and reduces it to P_m; the scan runs it on
+the first rung of the sector schedule, m <= 8, for P_m alone, and
+angular_fourier runs it storing the kernels too. Only m >= 0 is stored;
+the amplitude is real and even in the relative azimuth, so
+P_m = P_{-m} and the kernels coincide. The amplitude is also exactly
+symmetric under the exchange of the two photons, so the pass projects
+only the columns j >= i of each radial row i (the upper triangle): P_m
+weighs the pairs off the diagonal twice, and each kernel is stored as
+that triangle alone, row-packed in N (N + 1) / 2 values (the LAPACK
+packed storage of a symmetric matrix). Only this module knows the
+layout: a SectorKernel, checked when it is built and read-only after,
+expands into its full, exactly symmetric matrix when one is read.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ class _Packing(NamedTuple):
     """Flat position i N + j of packed entry p, shape (N (N + 1) / 2,)."""
     full: np.ndarray
     """Packed position of entry (min(i, j), max(i, j)), shape (N, N)."""
-    counts: np.ndarray
-    """Matrix entries packed entry p stands for: 1 on the diagonal, 2 above it."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -91,7 +88,7 @@ def _packing(n: int) -> _Packing:
     rows, cols = np.triu_indices(n)
     full = np.empty((n, n), dtype=np.intp)
     full[rows, cols] = full[cols, rows] = np.arange(rows.size)
-    packing = _Packing(rows * n + cols, full, np.where(rows == cols, 1.0, 2.0))
+    packing = _Packing(rows * n + cols, full)
     for array in packing:
         array.setflags(write=False)
     return packing
@@ -163,68 +160,58 @@ class SectorKernel:
         return self.packed[_packing(self.grid.count).full]
 
 
-def _cosine_projections(model, grid, n_theta, m_keep):
-    """Yield (i, coef) with coef[m, c] = G_m(k[i], k[i + c]), one radial row at a time.
+def _sector_pass(model, grid, n_theta, m_keep, store):
+    """P_m for m = 0 .. m_keep from one sweep and, with store, the kernels.
 
-    m runs over 0 .. m_keep. Only the upper triangle is projected: the
-    fill is exactly symmetric under the exchange of the two photons,
-    G_m(k_i, k_j) == G_m(k_j, k_i), so the columns j < i of row i repeat
-    rows that earlier steps hold. The amplitude is even in dtheta, so its
-    cosine transform needs only the distinct azimuth rows
-    u = 0 .. n_theta // 2, the interior ones standing for two grid points
-    each. Each radial row is multiplied from the left by an
-    (m_keep + 1, n_theta // 2 + 1) cosine table that carries those mirror
-    weights and the normalization; coef, shape (m_keep + 1, N - i), is a
-    view of one buffer that the next step overwrites.
+    Each radial row i of the tensor is multiplied from the left by an
+    (m_keep + 1, n_theta // 2 + 1) cosine table that carries the mirror
+    weights of the distinct azimuth rows u = 0 .. n_theta // 2 (the
+    amplitude is even in dtheta) and the unit constant, giving
+    G_m(k_i, k_j) for j = i .. N - 1. The block is scaled by
+    2 pi sqrt(w_i k_i) sqrt(w_j k_j), so that block[m, c] is entry
+    (i, i + c) of the weighted kernel. Only the upper triangle is
+    projected: the fill is exactly symmetric under the exchange of the
+    two photons, so the columns j < i of row i repeat rows that earlier
+    steps hold. With store, each block is copied into row i's packed
+    segment of the sector-major (m_keep + 1, N (N + 1) / 2) array, which
+    follows row i - 1's. P_m, the squared Frobenius norm of the weighted
+    kernel, adds each block's squares summed pairwise, a column j > i
+    counting twice for its transpose; a BLAS product would split long
+    sums by the thread count.
+
+    Returns (p_m, gcoef), gcoef being None without store.
     """
     h = n_theta // 2 + 1
     n = grid.count
+    sqwk = np.sqrt(grid.weights * grid.nodes)
+    # Row i's block starts at its diagonal entry, which counts once.
+    twice = np.full(n, 2.0)
+    twice[0] = 1.0
     _, cos_dtheta = angular_grid(n_theta)
     # cos(2 pi m u / n_theta) read from the folded, exactly even table.
     table = cos_dtheta[np.outer(np.arange(m_keep + 1), np.arange(h)) % n_theta]
     table *= model.unit_norm_constant / n_theta * _kernels.mirror_weights(n_theta)
+    gcoef = np.empty((m_keep + 1, n * (n + 1) // 2)) if store else None
+    p_m = np.zeros(m_keep + 1)
     buf = np.empty((m_keep + 1) * n)
+    offset = 0
     for i, row in _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta):
-        coef = buf[: (m_keep + 1) * (n - i)].reshape(m_keep + 1, n - i)
+        block = buf[: (m_keep + 1) * (n - i)].reshape(m_keep + 1, n - i)
         # The fill stores no magnitude below 2^-900, so no product here
         # comes out subnormal; such products ran this projection at half
         # speed on sinc 0.25 rows.
-        yield i, np.matmul(table, row[:h, i:], out=coef)
-
-
-def _scan_pass(model, grid, n_theta):
-    """P_m for m = 0 .. 8, the first rung of the adaptive_sectors schedule.
-
-    Each row's squared coefficients are reduced against the
-    w_i k_i w_j k_j weights; a column j > i also stands for its
-    transposed pair and weighs twice.
-    """
-    wk = grid.weights * grid.nodes
-    columns = 2.0 * wk
-    p_m = np.zeros(_FIRST_RUNG + 1)
-    for i, coef in _cosine_projections(model, grid, n_theta, _FIRST_RUNG):
-        np.square(coef, out=coef)
-        # The diagonal column counts once; later rows read only j > i.
-        columns[i] = wk[i]
-        p_m += wk[i] * (coef @ columns[i:])
-    return p_m * _TWO_PI**2
-
-
-def _coefficient_pass(model, grid, n_theta, m_keep):
-    """Fourier coefficients G_m(k_i, k_j) for m = 0 .. m_keep from one sweep.
-
-    The result is sector-major, shape (m_keep + 1, N (N + 1) / 2): row m
-    is the upper triangle of G_m, packed row by row as SectorKernel keeps
-    it. Radial row i's projections, j = i .. N - 1, are copied straight
-    into its packed segment, which follows row i - 1's.
-    """
-    n = grid.count
-    gcoef = np.empty((m_keep + 1, n * (n + 1) // 2))
-    offset = 0
-    for i, coef in _cosine_projections(model, grid, n_theta, m_keep):
-        gcoef[:, offset : offset + n - i] = coef
-        offset += n - i
-    return gcoef
+        np.matmul(table, row[:h, i:], out=block)
+        # 2 pi stays off the table: folded in, it would round every table
+        # entry anew and move the small high-m coefficients, which are
+        # sums that cancel, by up to 1e-12 relative.
+        block *= _TWO_PI * (sqwk[i] * sqwk[i:])
+        if store:
+            gcoef[:, offset : offset + n - i] = block
+            offset += n - i
+        np.square(block, out=block)
+        block *= twice[: n - i]
+        p_m += block.sum(axis=1)
+    return p_m, gcoef
 
 
 def angular_fourier(
@@ -254,17 +241,9 @@ def angular_fourier(
     """
     _require_normalized(model)
     _check_angular(n_theta, m_max, sector_tol)
-    gcoef = _coefficient_pass(model, grid, n_theta, m_max)
-    packing = _packing(grid.count)
-    sqwk = np.sqrt(grid.weights * grid.nodes)
-    gcoef *= (_TWO_PI * np.outer(sqwk, sqwk)).take(packing.upper)
-    p_m = []
-    for packed in gcoef:
-        # The squared Frobenius norm over the packed row, summed pairwise:
-        # a BLAS dot splits long sums by the thread count.
-        p_m.append(float(np.sum(np.square(packed) * packing.counts)))
-        if p_m[-1] > 0.0:
-            packed /= np.sqrt(p_m[-1])
+    p_m, gcoef = _sector_pass(model, grid, n_theta, m_max, store=True)
+    gcoef /= np.sqrt(np.where(p_m > 0.0, p_m, 1.0))[:, None]
+    p_m = p_m.tolist()
     sectors = _sector_views(gcoef, p_m, grid, model)
     if sector_tol is not None and sector_coverage(sectors) < 1.0 - sector_tol:
         raise ValueError("m_max too small")
@@ -299,28 +278,30 @@ def adaptive_sectors(
 ) -> tuple[list[SectorKernel], int]:
     """Grow m_max until the captured probability reaches 1 - sector_tol.
 
-    Follows a doubling schedule starting at m_max = 8. A scan pass first
-    sums P_m for m <= 8 only; when they reach the target, the coefficient
-    pass projects those nine sectors. Otherwise one coefficient pass
-    projects every m <= n_theta / 4 (128 at n_theta = 512), and the
-    schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m. When it
-    stops below the top, the pass's sector views are dropped, its one
-    array is shrunk in place to the sectors up to the m_max it stops at,
-    and the kept sectors are views of that, so the run holds no second
-    copy and the result does not hold the top-sized array. Only under a
-    profiler or tracer, whose extra reference forbids the shrink, are the
-    kept sectors copied out instead, so that such a run briefly holds
-    both. If n_theta / 4 cannot reach the target, n_theta is doubled (at
-    most twice) before giving up; the model is normalized again on each
-    doubled azimuth grid, and only the coefficient pass is repeated. The
-    kept kernels carry the model whose constant scaled their P_m.
+    Follows a doubling schedule starting at m_max = 8. A scan, the
+    sector pass with no kernels stored, first sums P_m for m <= 8 only;
+    when they reach the target, angular_fourier projects those nine
+    sectors. Otherwise one angular_fourier pass projects every
+    m <= n_theta / 4 (128 at n_theta = 512), and the schedule 16, 32,
+    ..., n_theta / 4 reads that pass's own P_m. When it stops below the
+    top, the pass's sector views are dropped, its one array is shrunk in
+    place to the sectors up to the m_max it stops at, and the kept
+    sectors are views of that, so the run holds no second copy and the
+    result does not hold the top-sized array. Only under a profiler or
+    tracer, whose extra reference forbids the shrink, are the kept
+    sectors copied out instead, so that such a run briefly holds both.
+    If n_theta / 4 cannot reach the target, n_theta is doubled (at most
+    twice) before giving up; the model is normalized again on each
+    doubled azimuth grid, and only the angular_fourier pass is repeated.
+    The kept kernels carry the model whose constant scaled their P_m.
 
     Returns the sector list and the n_theta it was computed with.
     """
     _require_normalized(model)
     _check_angular(n_theta, sector_tol=sector_tol)
     target = 1.0 - sector_tol
-    if _cumulative(_scan_pass(model, grid, n_theta))[-1] >= target:
+    scan, _ = _sector_pass(model, grid, n_theta, _FIRST_RUNG, store=False)
+    if _cumulative(scan)[-1] >= target:
         return angular_fourier(model, grid, _FIRST_RUNG, n_theta), n_theta
     for attempt in range(3):
         if attempt:

@@ -4,7 +4,9 @@ Every run resolves its configuration from three layers (built-in
 defaults, then an optional JSON config file, then explicit flags) and
 echoes the effective physics configuration into the output metadata.
 Outputs are data-only CSV and JSON; identical configuration produces
-byte-identical files regardless of the thread count.
+byte-identical files whatever --threads sets. The BLAS library's own
+thread count is not covered: some of its products split their sums by
+it, so the last digits of a data output can move with it.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ def sinc_quarter():
 def fill_shapes(monkeypatch):
     """Shapes of the blocks passed to _kernels.fill_amplitude_block, in call order.
 
-    A sweep passes one (1, n_theta, N) radial row per call.
+    Each call fills one (n_theta, N) radial row.
 
     perfbench counts the values a run fills the same way, from the size
     of the first argument.

@@ -29,6 +29,13 @@ def _normalized(family, t, n=200, n_theta=512):
     return normalize(AmplitudeModel.from_b_sigma(family, t), grid, n_theta), grid
 
 
+def _fill_rows(out, family, k_rows, k, t):
+    """Fill out[r, u, j] at (k_rows[r], dtheta[u], k[j]), one radial row per fill."""
+    workspace = _kernels.fill_workspace(k.size, out.shape[1])
+    for row, kr in zip(out, k_rows):
+        _kernels.fill_amplitude_block(row, family, kr, k, t, workspace)
+
+
 def test_family_from_string():
     assert AmplitudeFamily("gaussian") is AmplitudeFamily.DOUBLE_GAUSSIAN
     assert AmplitudeFamily("sinc") is AmplitudeFamily.GAUSSIAN_SINC
@@ -123,7 +130,7 @@ def test_fill_block_matches_evaluate(family):
     for n_theta in (16, 15):
         dtheta, _ = angular_grid(n_theta)
         out = np.full((k_rows.size, n_theta, k.size), np.nan)
-        _kernels.fill_amplitude_block(out, model.family, k_rows, k, t)
+        _fill_rows(out, model.family, k_rows, k, t)
         # every entry is written, the mirrored upper half included
         assert np.all(np.isfinite(out))
         for r, kr in enumerate(k_rows):
@@ -237,7 +244,7 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     k_rows = grid.nodes[::9]
     n_theta = 512
     out = np.full((k_rows.size, n_theta, grid.count), np.nan)
-    _kernels.fill_amplitude_block(out, family, k_rows, grid.nodes, t)
+    _fill_rows(out, family, k_rows, grid.nodes, t)
     plain = _plain_half(family, k_rows, grid.nodes, t, n_theta).transpose(0, 2, 1)
     kept = np.abs(plain) >= _kernels._FLOOR
     assert np.any(kept) and np.any(~kept)
@@ -262,7 +269,7 @@ def test_sinc_fill_matches_the_sine_formula(t, mu_c):
     k_rows = grid.nodes[::7]
     n_theta = 512
     out = np.empty((k_rows.size, n_theta, grid.count))
-    _kernels.fill_amplitude_block(out, AmplitudeFamily.GAUSSIAN_SINC, k_rows, grid.nodes, t)
+    _fill_rows(out, AmplitudeFamily.GAUSSIAN_SINC, k_rows, grid.nodes, t)
     _, cos_dtheta = angular_grid(n_theta)
     s = (k_rows[:, None] * k_rows[:, None] + grid.nodes * grid.nodes)[:, None, :]
     xc = (2.0 * k_rows[:, None] * grid.nodes)[:, None, :] * cos_dtheta[:, None]
@@ -418,7 +425,7 @@ def test_fill_is_symmetric_under_photon_exchange(family, t):
     # being the same double, not merely close.
     k = build_radial_grid(60, 0.0, default_k_max(t)).nodes
     out = np.empty((k.size, 128, k.size))
-    _kernels.fill_amplitude_block(out, AmplitudeFamily(family), k, k, t)
+    _fill_rows(out, AmplitudeFamily(family), k, k, t)
     assert np.any(out != 0.0)
     assert np.array_equal(out, out.transpose(2, 1, 0))
 
@@ -430,7 +437,9 @@ from biphoton import AmplitudeFamily, build_radial_grid, default_k_max, _kernels
 family, t = AmplitudeFamily(sys.argv[1]), float(sys.argv[2])
 k = build_radial_grid(1200, 0.0, default_k_max(t)).nodes
 out = np.empty((2, 1024, k.size))
-_kernels.fill_amplitude_block(out, family, k[300::600], k, t)
+workspace = _kernels.fill_workspace(k.size, 1024)
+for row, kr in zip(out, k[300::600]):
+    _kernels.fill_amplitude_block(row, family, kr, k, t, workspace)
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
@@ -459,11 +468,12 @@ def test_fill_bytes_do_not_depend_on_the_blas_thread_count(family, t):
 def test_row_sweep_is_one_fill_of_the_whole_tensor(family, t):
     # One buffer and one workspace serve every row of a sweep; stale
     # values of the last row and of the workspace must not leak into the
-    # next, so every row is bitwise that of one fill of the whole tensor.
+    # next, so every row is bitwise that of a fill into its own slot of
+    # the whole tensor.
     family = AmplitudeFamily(family)
     grid = build_radial_grid(37, 0.0, default_k_max(t))
     full = np.empty((grid.count, 256, grid.count))
-    _kernels.fill_amplitude_block(full, family, grid.nodes, grid.nodes, t)
+    _fill_rows(full, family, grid.nodes, grid.nodes, t)
     rows = []
     for i, row in _kernels.row_blocks(family, t, grid, 256):
         assert i == len(rows)
@@ -480,7 +490,7 @@ def test_unit_norm_integral_sums_every_azimuth(n_theta):
     model = AmplitudeModel.from_b_sigma("sinc", 0.5)
     grid = build_radial_grid(12, 0.0, default_k_max(0.5))
     full = np.empty((grid.count, n_theta, grid.count))
-    _kernels.fill_amplitude_block(full, model.family, grid.nodes, grid.nodes, 0.5)
+    _fill_rows(full, model.family, grid.nodes, grid.nodes, 0.5)
     wk = grid.weights * grid.nodes
     expected = np.einsum("i,iuj,j->", wk, full * full, wk) * (2.0 * np.pi) ** 2 / n_theta
     assert unit_norm_integral(model, grid, n_theta) == pytest.approx(expected, rel=1e-13)

@@ -13,12 +13,13 @@ from biphoton import (
     analytic_P_m,
     angular_fourier,
     build_radial_grid,
+    decompose,
     default_k_max,
     normalize,
     sector_coefficient,
     sector_coverage,
 )
-from biphoton.angular import _coefficient_pass, _packing, _scan_pass
+from biphoton.angular import _packing, _sector_pass
 from biphoton.grids import N_THETA
 
 
@@ -181,8 +182,11 @@ def test_cosine_projection_matches_real_fft(n_theta):
     scale = model.unit_norm_constant / n_theta
     rows = _kernels.row_blocks(model.family, t, grid, n_theta)
     reference = np.stack([np.fft.rfft(row, axis=0).real * scale for _, row in rows])
+    # The pass stores the Nystrom-weighted kernel 2 pi G_m sqrt(w_i k_i w_j k_j).
+    sqwk = np.sqrt(grid.weights * grid.nodes)
+    reference *= 2.0 * np.pi * np.outer(sqwk, sqwk)[:, None, :]
     for m_keep in (0, 8, 128, 255):
-        gcoef = _coefficient_pass(model, grid, n_theta, m_keep)
+        _, gcoef = _sector_pass(model, grid, n_theta, m_keep, store=True)
         expected = np.moveaxis(reference[:, : m_keep + 1], 1, 0)
         expected = expected.reshape(m_keep + 1, -1)[:, _packing(grid.count).upper]
         error = float(np.max(np.abs(gcoef - expected)))
@@ -206,8 +210,8 @@ def test_scan_probabilities_sum_to_one(family, t):
     total = reference[0] + 2.0 * reference[1:-1].sum() + reference[-1]
     assert total == pytest.approx(1.0, abs=1e-14)
 
-    p_m = _scan_pass(model, grid, 512)
-    assert p_m.shape == (9,)
+    p_m, gcoef = _sector_pass(model, grid, 512, 8, store=False)
+    assert p_m.shape == (9,) and gcoef is None
     error = float(np.max(np.abs(p_m - reference[: p_m.size])))
     assert error <= 1e-13 * float(np.max(p_m))
     if family == "gaussian":
@@ -224,13 +228,23 @@ def test_scan_matches_the_reported_sector_table(family, t):
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     sectors, n_theta = adaptive_sectors(model, grid, 1e-6, 512)
     reported = [s.p_m for s in sectors]
-    np.testing.assert_allclose(
-        _scan_pass(model, grid, n_theta), reported[:9], rtol=1e-13, atol=0.0
-    )
+    scan, _ = _sector_pass(model, grid, n_theta, 8, store=False)
+    np.testing.assert_allclose(scan, reported[:9], rtol=1e-13, atol=0.0)
     cumulative = np.cumsum([p if m == 0 else 2.0 * p for m, p in enumerate(reported)])
     rungs = [m for m in (8, 16, 32, 64, 128) if m < len(reported)]
     first = next(m for m in rungs if cumulative[m] >= 1.0 - 1e-6)
     assert sectors[-1].m == first
+
+
+@pytest.mark.parametrize("t", [0.5, 1.5, 2.5])
+def test_first_rung_scan_is_the_reported_sector_table_bitwise(t):
+    # On the first rung the scan and angular_fourier are the same pass
+    # over the same m <= 8; only the stored kernels tell them apart.
+    result = decompose("gaussian", t)
+    assert result.m_max == 8
+    scan, gcoef = _sector_pass(result.model, result.grid, result.n_theta, 8, store=False)
+    assert gcoef is None
+    assert scan.tolist() == [result.spectrum.p_m_table[m] for m in range(9)]
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 1.7), ("sinc", 0.25)])
@@ -252,7 +266,10 @@ def _sinc_oracle_errors(t, mu_c, n_theta, orders, picks=12):
     grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
     model = AmplitudeModel.from_b_sigma("sinc", t, cutoff=mu_c)
     model = dataclasses.replace(model, norm_constant=1.0)
-    gcoef = _coefficient_pass(model, grid, n_theta, max(orders))
+    _, gcoef = _sector_pass(model, grid, n_theta, max(orders), store=True)
+    # The pass stores 2 pi G_m sqrt(w_i k_i w_j k_j); the oracle gives G_m.
+    sqwk = np.sqrt(grid.weights * grid.nodes)
+    gcoef /= (2.0 * np.pi * np.outer(sqwk, sqwk)).take(_packing(grid.count).upper)
     scale = np.abs(gcoef[0]).max()
     picked = np.linspace(0, grid.count - 1, picks).round().astype(int)
     rows, cols = np.triu_indices(picks)
