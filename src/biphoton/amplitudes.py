@@ -153,6 +153,34 @@ def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) ->
     return model.norm_constant * float(value)
 
 
+class _NormSum:
+    """The norm integral of a row sweep, summed one radial row at a time.
+
+    add(i, row) adds row i's term and squares row[:h, i:] in place, so a
+    consumer that also reads the row reads it first; integral is the
+    total so far. unit_norm_integral and the sector pass both sum the
+    norm here, so their integrals over one sweep are bitwise equal.
+    """
+
+    def __init__(self, grid: RadialGrid, n_theta: int):
+        self.n_theta = n_theta
+        self.mirror = _kernels.mirror_weights(n_theta)
+        self.wk = grid.weights * grid.nodes
+        self.columns = 2.0 * self.wk
+        self.total = 0.0
+
+    def add(self, i: int, row: np.ndarray) -> None:
+        h = self.mirror.size
+        upper = np.square(row[:h, i:], out=row[:h, i:])
+        # The diagonal column counts once; later rows read only j > i.
+        self.columns[i] = self.wk[i]
+        self.total += self.wk[i] * float(self.mirror @ upper @ self.columns[i:])
+
+    @property
+    def integral(self) -> float:
+        return self.total * (2.0 * np.pi) * (2.0 * np.pi / self.n_theta)
+
+
 def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) -> float:
     """Squared norm of the unit-constant amplitude on the given grid.
 
@@ -167,34 +195,34 @@ def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) ->
     symmetric under k <-> q, so row i sums only the columns j >= i, and a
     column j > i counts twice.
     """
-    h = n_theta // 2 + 1
-    mirror = _kernels.mirror_weights(n_theta)
-    wk = grid.weights * grid.nodes
-    columns = 2.0 * wk
-    total = 0.0
+    norm = _NormSum(grid, n_theta)
     for i, row in _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta):
-        upper = np.square(row[:h, i:], out=row[:h, i:])
-        # The diagonal column counts once; later rows read only j > i.
-        columns[i] = wk[i]
-        total += wk[i] * float(mirror @ upper @ columns[i:])
-    return total * (2.0 * np.pi) * (2.0 * np.pi / n_theta)
+        norm.add(i, row)
+    return norm.integral
 
 
-def normalize(model: AmplitudeModel, grid: RadialGrid, n_theta: int = N_THETA) -> AmplitudeModel:
-    """Return a copy of the model with norm_constant set.
-
-    The constant is recomputed from scratch on every call, so normalizing
-    twice on the same grid reproduces the same value exactly. The grid is
-    expected to cover the amplitude support; filtered models pass a grid
-    that starts at the cutoff instead of relying on step-function zeros.
-    """
-    integral = unit_norm_integral(model, grid, n_theta)
+def _normalized(model: AmplitudeModel, integral: float) -> AmplitudeModel:
+    """The model with the norm_constant of a unit-constant norm integral."""
     if not math.isfinite(integral):
         raise ValueError("norm integral overflows; b_sigma or k_max out of range")
     if not integral > 1e-300:
         raise ValueError("norm integral vanishes; degenerate parameters")
     unit_constant = 1.0 / math.sqrt(integral)
     return replace(model, norm_constant=unit_constant / model.sigma_perp**2)
+
+
+def normalize(model: AmplitudeModel, grid: RadialGrid, n_theta: int = N_THETA) -> AmplitudeModel:
+    """Return a copy of the model with norm_constant set.
+
+    The constant is recomputed from scratch on every call, so normalizing
+    twice on the same grid reproduces the same value exactly, and it is
+    bitwise the constant that the sector pass (angular_fourier,
+    adaptive_sectors) takes from its own sweep at the same n_theta. The
+    grid is expected to cover the amplitude support; filtered models pass
+    a grid that starts at the cutoff instead of relying on step-function
+    zeros.
+    """
+    return _normalized(model, unit_norm_integral(model, grid, n_theta))
 
 
 def crystal_b(crystal_length: float, pump_frequency: float) -> float:

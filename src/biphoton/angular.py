@@ -6,14 +6,17 @@ two-photon state into orbital-angular-momentum sectors with opposite m on
 the two photons. Each sector contributes a probability P_m and a
 symmetric radial kernel whose eigendecomposition is handled downstream.
 
-One sector pass per call samples a uniform azimuth grid, which is
-spectrally accurate here because the integrand is smooth and periodic.
-It contracts the distinct azimuth rows of each azimuth-major radial row
-with one mirror-weighted (m + 1, n_theta / 2 + 1) cosine table, so the
-product comes out m-major, and reduces it to P_m; the scan runs it on
-the first rung of the sector schedule, m <= 8, for P_m alone, and
-angular_fourier runs it storing the kernels too. Only m >= 0 is stored;
-the amplitude is real and even in the relative azimuth, so
+One sector pass per angular_fourier call samples a uniform azimuth
+grid, which is spectrally accurate here because the integrand is smooth
+and periodic. It contracts the distinct azimuth rows of each
+azimuth-major radial row of the unit-constant amplitude with one
+mirror-weighted (m + 1, n_theta / 2 + 1) cosine table, so the product
+comes out m-major, stores it as the kernels and reduces it to the raw
+P_m; from the same rows it sums the norm integral, and divides the raw
+P_m by it. The pass is thus the normalization too: a run that stops at
+the first rung of the sector schedule, m <= 8, sweeps the tensor once,
+and one that goes on sweeps it once more per top pass. Only m >= 0 is
+stored; the amplitude is real and even in the relative azimuth, so
 P_m = P_{-m} and the kernels coincide. The amplitude is also exactly
 symmetric under the exchange of the two photons, so the pass projects
 only the columns j >= i of each radial row i (the upper triangle): P_m
@@ -33,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .amplitudes import AmplitudeModel, _require_normalized, normalize
+from .amplitudes import AmplitudeModel, _NormSum, _normalized
 from .grids import N_THETA, RadialGrid, angular_grid
 
 __all__ = [
@@ -46,7 +49,7 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 _FIRST_RUNG = 8
-"""Smallest m_max of the adaptive_sectors schedule; the scan reads m up to it."""
+"""Smallest m_max of the adaptive_sectors schedule; its first pass projects m up to it."""
 
 SECTOR_TOL = 1e-6
 """Default probability a run may leave outside its kept sectors."""
@@ -120,8 +123,9 @@ class SectorKernel:
     grid : RadialGrid
         Radial quadrature rule the matrix was built on.
     model : AmplitudeModel or None
-        The normalized model whose constant p_m was scaled with; None for
-        a kernel built from a matrix.
+        The model normalized by the sector pass that built the kernel,
+        whose norm integral p_m was divided by; None for a kernel built
+        from a matrix.
     """
 
     m: int
@@ -160,26 +164,31 @@ class SectorKernel:
         return self.packed[_packing(self.grid.count).full]
 
 
-def _sector_pass(model, grid, n_theta, m_keep, store):
-    """P_m for m = 0 .. m_keep from one sweep and, with store, the kernels.
+def _sector_pass(model, grid, n_theta, m_keep):
+    """The normalized model, P_m for m = 0 .. m_keep and the kernels, from one sweep.
 
-    Each radial row i of the tensor is multiplied from the left by an
-    (m_keep + 1, n_theta // 2 + 1) cosine table that carries the mirror
-    weights of the distinct azimuth rows u = 0 .. n_theta // 2 (the
-    amplitude is even in dtheta) and the unit constant, giving
-    G_m(k_i, k_j) for j = i .. N - 1. The block is scaled by
-    2 pi sqrt(w_i k_i) sqrt(w_j k_j), so that block[m, c] is entry
-    (i, i + c) of the weighted kernel. Only the upper triangle is
-    projected: the fill is exactly symmetric under the exchange of the
-    two photons, so the columns j < i of row i repeat rows that earlier
-    steps hold. With store, each block is copied into row i's packed
-    segment of the sector-major (m_keep + 1, N (N + 1) / 2) array, which
-    follows row i - 1's. P_m, the squared Frobenius norm of the weighted
-    kernel, adds each block's squares summed pairwise, a column j > i
-    counting twice for its transpose; a BLAS product would split long
-    sums by the thread count.
+    Each radial row i of the unit-constant tensor is multiplied from the
+    left by an (m_keep + 1, n_theta // 2 + 1) cosine table that carries
+    the mirror weights of the distinct azimuth rows u = 0 .. n_theta // 2
+    (the amplitude is even in dtheta) and 1 / n_theta, giving G_m(k_i, k_j)
+    for j = i .. N - 1. The block is scaled by 2 pi sqrt(w_i k_i)
+    sqrt(w_j k_j) straight into row i's packed segment of the sector-major
+    (m_keep + 1, N (N + 1) / 2) array, which follows row i - 1's, so that
+    gcoef[m, offset + c] is entry (i, i + c) of the weighted kernel. Only
+    the upper triangle is projected: the fill is exactly symmetric under
+    the exchange of the two photons, so the columns j < i of row i repeat
+    rows that earlier steps hold. The raw P_m, the squared Frobenius norm
+    of the weighted kernel, adds the segment's squares summed pairwise, a
+    column j > i counting twice for its transpose; a BLAS product would
+    split long sums by the thread count. The same row then adds its term
+    of the norm integral (amplitudes._NormSum, the arithmetic of
+    unit_norm_integral), so the constant is bitwise normalize's at this
+    n_theta, whatever constant the given model carries.
 
-    Returns (p_m, gcoef), gcoef being None without store.
+    Returns (model, p_m, gcoef): the model with the constant of the
+    pass's norm integral, the list P_m = raw P_m / integral, and gcoef
+    with each row divided by the square root of its raw P_m (0 read as
+    1), so that row m is the packed kernel of sector m at unit norm.
     """
     h = n_theta // 2 + 1
     n = grid.count
@@ -188,15 +197,19 @@ def _sector_pass(model, grid, n_theta, m_keep, store):
     twice = np.full(n, 2.0)
     twice[0] = 1.0
     _, cos_dtheta = angular_grid(n_theta)
-    # cos(2 pi m u / n_theta) read from the folded, exactly even table.
+    # cos(2 pi m u / n_theta) read from the folded, exactly even table;
+    # n_theta is a power of two, so the weights scale it exactly.
     table = cos_dtheta[np.outer(np.arange(m_keep + 1), np.arange(h)) % n_theta]
-    table *= model.unit_norm_constant / n_theta * _kernels.mirror_weights(n_theta)
-    gcoef = np.empty((m_keep + 1, n * (n + 1) // 2)) if store else None
-    p_m = np.zeros(m_keep + 1)
+    table *= _kernels.mirror_weights(n_theta) / n_theta
+    gcoef = np.empty((m_keep + 1, n * (n + 1) // 2))
+    raw = np.zeros(m_keep + 1)
+    norm = _NormSum(grid, n_theta)
     buf = np.empty((m_keep + 1) * n)
     offset = 0
     for i, row in _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta):
         block = buf[: (m_keep + 1) * (n - i)].reshape(m_keep + 1, n - i)
+        segment = gcoef[:, offset : offset + n - i]
+        offset += n - i
         # The fill stores no magnitude below 2^-900, so no product here
         # comes out subnormal; such products ran this projection at half
         # speed on sinc 0.25 rows.
@@ -204,14 +217,15 @@ def _sector_pass(model, grid, n_theta, m_keep, store):
         # 2 pi stays off the table: folded in, it would round every table
         # entry anew and move the small high-m coefficients, which are
         # sums that cancel, by up to 1e-12 relative.
-        block *= _TWO_PI * (sqwk[i] * sqwk[i:])
-        if store:
-            gcoef[:, offset : offset + n - i] = block
-            offset += n - i
-        np.square(block, out=block)
+        np.multiply(block, _TWO_PI * (sqwk[i] * sqwk[i:]), out=segment)
+        np.square(segment, out=block)
         block *= twice[: n - i]
-        p_m += block.sum(axis=1)
-    return p_m, gcoef
+        raw += block.sum(axis=1)
+        # Squares the row in place, so it comes after the projection.
+        norm.add(i, row)
+    model = _normalized(model, norm.integral)
+    gcoef /= np.sqrt(np.where(raw > 0.0, raw, 1.0))[:, None]
+    return model, (raw / norm.integral).tolist(), gcoef
 
 
 def angular_fourier(
@@ -235,15 +249,18 @@ def angular_fourier(
     reproduces closed forms including sign; for the double-Gaussian
     below b_sigma = 1 the odd sectors are negative throughout.
 
+    The model may carry a constant or not: the one sector pass sums the
+    norm integral of the unit-constant amplitude from the rows it
+    projects, and each kernel carries the model normalized from it
+    (bitwise normalize(model, grid, n_theta)), whose P_m sum to the
+    captured probability.
+
     When sector_tol is given, a captured probability below 1 - sector_tol
     raises ValueError("m_max too small"); adaptive callers extend m_max
     instead.
     """
-    _require_normalized(model)
     _check_angular(n_theta, m_max, sector_tol)
-    p_m, gcoef = _sector_pass(model, grid, n_theta, m_max, store=True)
-    gcoef /= np.sqrt(np.where(p_m > 0.0, p_m, 1.0))[:, None]
-    p_m = p_m.tolist()
+    model, p_m, gcoef = _sector_pass(model, grid, n_theta, m_max)
     sectors = _sector_views(gcoef, p_m, grid, model)
     if sector_tol is not None and sector_coverage(sectors) < 1.0 - sector_tol:
         raise ValueError("m_max too small")
@@ -278,37 +295,37 @@ def adaptive_sectors(
 ) -> tuple[list[SectorKernel], int]:
     """Grow m_max until the captured probability reaches 1 - sector_tol.
 
-    Follows a doubling schedule starting at m_max = 8. A scan, the
-    sector pass with no kernels stored, first sums P_m for m <= 8 only;
-    when they reach the target, angular_fourier projects those nine
-    sectors. Otherwise one angular_fourier pass projects every
-    m <= n_theta / 4 (128 at n_theta = 512), and the schedule 16, 32,
-    ..., n_theta / 4 reads that pass's own P_m. When it stops below the
-    top, the pass's sector views are dropped, its one array is shrunk in
-    place to the sectors up to the m_max it stops at, and the kept
-    sectors are views of that, so the run holds no second copy and the
-    result does not hold the top-sized array. Only under a profiler or
-    tracer, whose extra reference forbids the shrink, are the kept
-    sectors copied out instead, so that such a run briefly holds both.
-    If n_theta / 4 cannot reach the target, n_theta is doubled (at most
-    twice) before giving up; the model is normalized again on each
-    doubled azimuth grid, and only the angular_fourier pass is repeated.
-    The kept kernels carry the model whose constant scaled their P_m.
+    Follows a doubling schedule starting at m_max = 8. angular_fourier
+    first projects the nine sectors m <= 8; when their P_m reach the
+    target, those are the result, from one sweep of the tensor.
+    Otherwise that array is released and one angular_fourier pass
+    projects every m <= n_theta / 4 (128 at n_theta = 512), and the
+    schedule 16, 32, ..., n_theta / 4 reads that pass's own P_m. When it
+    stops below the top, the pass's sector views are dropped, its one
+    array is shrunk in place to the sectors up to the m_max it stops at,
+    and the kept sectors are views of that, so the run holds no second
+    copy and the result does not hold the top-sized array. Only under a
+    profiler or tracer, whose extra reference forbids the shrink, are the
+    kept sectors copied out instead, so that such a run briefly holds
+    both. If n_theta / 4 cannot reach the target, n_theta is doubled (at
+    most twice) before giving up, and only the top pass is repeated: each
+    pass normalizes the model from its own sweep, so a doubled azimuth
+    grid costs one pass and no separate normalization. The model may
+    carry a constant or not; the kept kernels carry the model normalized
+    by the pass they come from.
 
     Returns the sector list and the n_theta it was computed with.
     """
-    _require_normalized(model)
     _check_angular(n_theta, sector_tol=sector_tol)
     target = 1.0 - sector_tol
-    scan, _ = _sector_pass(model, grid, n_theta, _FIRST_RUNG, store=False)
-    if _cumulative(scan)[-1] >= target:
-        return angular_fourier(model, grid, _FIRST_RUNG, n_theta), n_theta
+    sectors = angular_fourier(model, grid, _FIRST_RUNG, n_theta)
+    if _cumulative([sector.p_m for sector in sectors])[-1] >= target:
+        return sectors, n_theta
+    # Released before the top pass allocates its larger array.
+    del sectors
     for attempt in range(3):
         if attempt:
-            # The norm integral aliases on a grid too coarse for the
-            # sectors, and the P_m would carry its error.
             n_theta *= 2
-            model = normalize(model, grid, n_theta)
         top = n_theta // 4
         sectors = angular_fourier(model, grid, top, n_theta)
         p_m = [sector.p_m for sector in sectors]
@@ -318,6 +335,7 @@ def adaptive_sectors(
             m_max *= 2
         if cumulative[m_max] >= target:
             if m_max < top:
+                normalized = sectors[0].model
                 gcoef = sectors[0].packed.base
                 del sectors
                 # With no view left, the one array shrinks in place: the
@@ -328,7 +346,7 @@ def adaptive_sectors(
                     gcoef.resize((m_max + 1, gcoef.shape[1]))
                 except ValueError:
                     gcoef = gcoef[: m_max + 1].copy()
-                sectors = _sector_views(gcoef, p_m, grid, model)
+                sectors = _sector_views(gcoef, p_m, grid, normalized)
             return sectors, n_theta
         # Released before the doubled pass allocates its larger array.
         del sectors

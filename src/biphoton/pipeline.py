@@ -17,6 +17,9 @@ import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+# normalize is unused here: the sector pass normalizes the model from its
+# own sweep. The name stays bound as biphoton.pipeline.normalize, which
+# perfbench/tracing.py's BINDINGS wraps.
 from .amplitudes import AmplitudeFamily, AmplitudeModel, _check_cutoff, normalize
 from .angular import (
     SECTOR_TOL,
@@ -265,21 +268,23 @@ def _sectors(
     """The front half of every run, as decompose describes it.
 
     Returns the normalized model, the radial grid, the kept sector
-    kernels and the n_theta they were computed with. The model is the
-    one the kernels' P_m were scaled with, normalized again on the
-    doubled azimuth grid when adaptive_sectors doubled n_theta.
+    kernels and the n_theta they were computed with. The bare model goes
+    straight to the sector stage, whose pass normalizes it from its own
+    sweep; the model returned is the one the kept kernels carry, so its
+    constant is that of the n_theta they were computed with, the doubled
+    azimuth grid when adaptive_sectors doubled n_theta.
     """
     _check_type("b_sigma", b_sigma)
     cfg = RunConfig(family=AmplitudeFamily(family).value, b_sigma=b_sigma, **settings)
     grid = cfg.radial_grid()
-    amplitude = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma, cutoff=cfg.mu_c)
-    model = normalize(amplitude, grid, cfg.n_theta)
+    model = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma, cutoff=cfg.mu_c)
     if cfg.m_max is not None:
         kernels = angular_fourier(
             model, grid, cfg.m_max, cfg.n_theta, sector_tol=cfg.sector_tol
         )
-        return model, grid, kernels, cfg.n_theta
-    kernels, n_theta = adaptive_sectors(model, grid, cfg.sector_tol, cfg.n_theta)
+        n_theta = cfg.n_theta
+    else:
+        kernels, n_theta = adaptive_sectors(model, grid, cfg.sector_tol, cfg.n_theta)
     return kernels[0].model, grid, kernels, n_theta
 
 

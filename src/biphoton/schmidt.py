@@ -171,7 +171,9 @@ def sector_purity(kernel: SectorKernel) -> float:
     # M M = M M^T for the symmetric M; BLAS forms the latter as a
     # symmetric rank-k update, at half the cost of a general product.
     square = matrix @ matrix.T
-    return float(np.vdot(square, square))
+    # A pairwise NumPy sum: np.vdot's BLAS dot splits the N^2 squares by
+    # the BLAS thread count, and the filter's K_original with it.
+    return float(np.square(square).sum())
 
 
 def decompose_sector(kernel: SectorKernel) -> SectorSpectrum:

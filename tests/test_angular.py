@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from sinc_oracle import converged_sinc_coefficients
@@ -23,13 +21,27 @@ from biphoton.angular import _packing, _sector_pass
 from biphoton.grids import N_THETA
 
 
-def test_requires_normalized_model(gauss_model_grid):
-    _, grid = gauss_model_grid
+def test_a_bare_and_a_normalized_model_give_the_same_sectors(gauss_model_grid):
+    # The sector pass takes its constant from its own sweep: a model with
+    # or without one gives bitwise the same kernels, P_m and constant,
+    # and the constant is bitwise normalize's at the same n_theta.
+    normalized, grid = gauss_model_grid
     bare = AmplitudeModel.from_b_sigma("gaussian", 0.5)
-    with pytest.raises(ValueError, match="normalize first"):
-        angular_fourier(bare, grid, 4, 512)
-    with pytest.raises(ValueError, match="normalize first"):
-        adaptive_sectors(bare, grid)
+    constant = normalize(bare, grid, 512).norm_constant
+    assert normalized.norm_constant == constant
+    runs = [angular_fourier(model, grid, 24, 512) for model in (bare, normalized)]
+    runs += [adaptive_sectors(model, grid, 1e-6, 512)[0] for model in (bare, normalized)]
+    for sectors in runs:
+        assert [s.model.norm_constant for s in sectors] == [constant] * len(sectors)
+    for first, second in (runs[:2], runs[2:]):
+        assert [s.p_m for s in first] == [s.p_m for s in second]
+        assert np.array_equal(first[0].packed.base, second[0].packed.base)
+    # The first-rung and top passes at one n_theta sum the same integral.
+    for n_theta in (128, 512):
+        first_rung = angular_fourier(bare, grid, 8, n_theta)[0].model
+        top = angular_fourier(bare, grid, n_theta // 4, n_theta)[0].model
+        assert first_rung.norm_constant == top.norm_constant
+        assert top.norm_constant == normalize(bare, grid, n_theta).norm_constant
 
 
 def test_n_theta_and_m_max_validation(gauss_model_grid):
@@ -182,11 +194,14 @@ def test_cosine_projection_matches_real_fft(n_theta):
     scale = model.unit_norm_constant / n_theta
     rows = _kernels.row_blocks(model.family, t, grid, n_theta)
     reference = np.stack([np.fft.rfft(row, axis=0).real * scale for _, row in rows])
-    # The pass stores the Nystrom-weighted kernel 2 pi G_m sqrt(w_i k_i w_j k_j).
+    # Row m of the pass, times sqrt(P_m), is the Nystrom-weighted kernel
+    # 2 pi G_m sqrt(w_i k_i w_j k_j) of the normalized amplitude.
     sqwk = np.sqrt(grid.weights * grid.nodes)
     reference *= 2.0 * np.pi * np.outer(sqwk, sqwk)[:, None, :]
     for m_keep in (0, 8, 128, 255):
-        _, gcoef = _sector_pass(model, grid, n_theta, m_keep, store=True)
+        normalized, p_m, gcoef = _sector_pass(model, grid, n_theta, m_keep)
+        assert normalized.norm_constant == model.norm_constant
+        gcoef *= np.sqrt(p_m)[:, None]
         expected = np.moveaxis(reference[:, : m_keep + 1], 1, 0)
         expected = expected.reshape(m_keep + 1, -1)[:, _packing(grid.count).upper]
         error = float(np.max(np.abs(gcoef - expected)))
@@ -195,10 +210,11 @@ def test_cosine_projection_matches_real_fft(n_theta):
 
 @pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
 def test_scan_probabilities_sum_to_one(family, t):
-    # The scan stops at m = 8, the first rung of the adaptive schedule.
-    # A real-FFT reference holds every m: by Parseval, on the grid the
-    # model was normalized on, its signed P_m (m = 0 and n_theta / 2 once,
-    # the rest twice) add up to the norm, and the scan matches it per m.
+    # The first pass of the adaptive schedule stops at m = 8, its first
+    # rung. A real-FFT reference holds every m: by Parseval, on the grid
+    # the model was normalized on, its signed P_m (m = 0 and n_theta / 2
+    # once, the rest twice) add up to the norm, and the pass matches it
+    # per m.
     grid = build_radial_grid(60, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     wk = grid.weights * grid.nodes
@@ -210,8 +226,8 @@ def test_scan_probabilities_sum_to_one(family, t):
     total = reference[0] + 2.0 * reference[1:-1].sum() + reference[-1]
     assert total == pytest.approx(1.0, abs=1e-14)
 
-    p_m, gcoef = _sector_pass(model, grid, 512, 8, store=False)
-    assert p_m.shape == (9,) and gcoef is None
+    p_m = np.array([s.p_m for s in angular_fourier(model, grid, 8, 512)])
+    assert p_m.shape == (9,)
     error = float(np.max(np.abs(p_m - reference[: p_m.size])))
     assert error <= 1e-13 * float(np.max(p_m))
     if family == "gaussian":
@@ -222,13 +238,14 @@ def test_scan_probabilities_sum_to_one(family, t):
 
 @pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
 def test_scan_matches_the_reported_sector_table(family, t):
-    # The scan's P_m are the reported ones, and m_max is the first rung
-    # of the schedule whose reported P_m reach the target.
+    # The first-rung pass's P_m are the reported ones to round-off, and
+    # m_max is the first rung of the schedule whose reported P_m reach
+    # the target.
     grid = build_radial_grid(60, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     sectors, n_theta = adaptive_sectors(model, grid, 1e-6, 512)
     reported = [s.p_m for s in sectors]
-    scan, _ = _sector_pass(model, grid, n_theta, 8, store=False)
+    scan = [s.p_m for s in angular_fourier(model, grid, 8, n_theta)]
     np.testing.assert_allclose(scan, reported[:9], rtol=1e-13, atol=0.0)
     cumulative = np.cumsum([p if m == 0 else 2.0 * p for m, p in enumerate(reported)])
     rungs = [m for m in (8, 16, 32, 64, 128) if m < len(reported)]
@@ -238,13 +255,15 @@ def test_scan_matches_the_reported_sector_table(family, t):
 
 @pytest.mark.parametrize("t", [0.5, 1.5, 2.5])
 def test_first_rung_scan_is_the_reported_sector_table_bitwise(t):
-    # On the first rung the scan and angular_fourier are the same pass
-    # over the same m <= 8; only the stored kernels tell them apart.
+    # A run that stops on the first rung reports its first pass, m <= 8,
+    # as it comes: P_m, kernels and constant, bit for bit.
     result = decompose("gaussian", t)
     assert result.m_max == 8
-    scan, gcoef = _sector_pass(result.model, result.grid, result.n_theta, 8, store=False)
-    assert gcoef is None
-    assert scan.tolist() == [result.spectrum.p_m_table[m] for m in range(9)]
+    bare = AmplitudeModel.from_b_sigma("gaussian", t)
+    sectors = angular_fourier(bare, result.grid, 8, result.n_theta)
+    assert [s.p_m for s in sectors] == [result.spectrum.p_m_table[m] for m in range(9)]
+    assert np.array_equal(sectors[0].packed.base, result.kernels[0].packed.base)
+    assert sectors[0].model == result.model
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 1.7), ("sinc", 0.25)])
@@ -265,9 +284,10 @@ def _sinc_oracle_errors(t, mu_c, n_theta, orders, picks=12):
     """
     grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
     model = AmplitudeModel.from_b_sigma("sinc", t, cutoff=mu_c)
-    model = dataclasses.replace(model, norm_constant=1.0)
-    _, gcoef = _sector_pass(model, grid, n_theta, max(orders), store=True)
-    # The pass stores 2 pi G_m sqrt(w_i k_i w_j k_j); the oracle gives G_m.
+    model, p_m, gcoef = _sector_pass(model, grid, n_theta, max(orders))
+    # Row m times sqrt(P_m) / c is 2 pi G_m sqrt(w_i k_i w_j k_j) of the
+    # unit-constant amplitude; the oracle gives G_m.
+    gcoef *= np.sqrt(p_m)[:, None] / model.unit_norm_constant
     sqwk = np.sqrt(grid.weights * grid.nodes)
     gcoef /= (2.0 * np.pi * np.outer(sqwk, sqwk)).take(_packing(grid.count).upper)
     scale = np.abs(gcoef[0]).max()

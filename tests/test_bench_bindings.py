@@ -5,16 +5,18 @@ outside src/, and perfbench/run.py records biphoton.KERNEL_BACKEND. A
 rename or deletion of any of them, or a changed return that a probe
 unpacks, crashes the traced benchmark, so the fast suite checks them
 here: the names directly, the returns through one traced decompose and
-one traced filter command. perfbench/test_perfbench.py also pins the
-number of amplitude values each workload fills (3 tensors per decompose,
-8 per filter command); the fill-count tests below pin the same counts on
-a small grid, and the values filled when the sector schedule stops
-between rungs or doubles n_theta (which normalizes again).
+one traced filter command. The fill-count tests below pin, in call
+order, the radial rows each path fills on a small grid: one tensor for a
+decompose that stops on the first rung (the sector pass normalizes from
+its own sweep), two when the schedule stops between rungs (the
+first-rung pass, then the top pass), six for a filter command, and one
+more top pass per doubled n_theta. perfbench/test_perfbench.py still
+pins 3 and 8 tensors per gauss-fill and filter-cli point, the counts
+before the sector pass normalized.
 """
 
 import importlib
 import importlib.util
-import math
 import sys
 from pathlib import Path
 
@@ -70,33 +72,37 @@ def test_traced_runs_give_every_probed_span_its_attrs(tracing, tmp_path):
         assert all(isinstance(value, int) for value in span.attrs.values()), span
 
 
-def _values(fill_shapes):
-    return sum(math.prod(shape) for shape in fill_shapes)
+def _rows(n_theta, passes, n=40):
+    """The shapes of `passes` sweeps of an n-node tensor at n_theta, in order."""
+    return [(n_theta, n)] * (n * passes)
 
 
-def test_decompose_fills_three_tensors(fill_shapes):
-    biphoton.decompose("gaussian", 1.5, grid_n=40)
-    assert _values(fill_shapes) == 3 * 40**2 * 512
+def test_decompose_fills_one_tensor(fill_shapes):
+    result = biphoton.decompose("gaussian", 1.5, grid_n=40)
+    assert result.m_max == 8 and result.n_theta == 512
+    assert fill_shapes == _rows(512, 1)
 
 
-def test_filter_command_fills_eight_tensors(fill_shapes, tmp_path, capsys):
+def test_filter_command_fills_six_tensors(fill_shapes, tmp_path, capsys):
+    # The CLI's normalize, the unfiltered run's two passes, the surviving
+    # integral and the filtered run's two passes.
     argv = ["filter", "--family", "sinc", "--bsigma", "0.5", "--mu-c", "1.5"]
     argv += ["--grid-n", "40", "--out", str(tmp_path / "filter.json")]
     assert biphoton.cli.main(argv) == 0
-    assert _values(fill_shapes) == 8 * 40**2 * 512
+    assert fill_shapes == _rows(512, 6)
 
 
-def test_schedule_stopping_between_rungs_fills_three_tensors(fill_shapes):
-    # The scan reads m <= 8 and falls short; one coefficient pass at the
+def test_schedule_stopping_between_rungs_fills_two_tensors(fill_shapes):
+    # The first-rung pass reads m <= 8 and falls short; one pass at the
     # schedule's top serves every rung up to the one it stops at.
     result = biphoton.decompose("sinc", 0.5, grid_n=40)
     assert result.m_max == 64 and result.n_theta == 512
-    assert _values(fill_shapes) == 3 * 40**2 * 512
+    assert fill_shapes == _rows(512, 2)
 
 
-def test_doubled_angular_grid_repeats_the_norm_and_the_coefficient_pass(fill_shapes):
-    # normalize, the scan and a coefficient pass at 128; then normalize
-    # and a coefficient pass at each doubled n_theta.
+def test_doubled_angular_grid_repeats_only_the_top_pass(fill_shapes):
+    # The first-rung and top passes at 128, then one top pass at the
+    # doubled n_theta, which normalizes from its own sweep.
     result = biphoton.decompose("sinc", 0.5, grid_n=40, n_theta=128)
     assert result.n_theta == 256
-    assert _values(fill_shapes) == 40**2 * (128 + 128 + 128 + 256 + 256)
+    assert fill_shapes == _rows(128, 2) + _rows(256, 1)

@@ -564,3 +564,33 @@ def test_csv_writer_matches_the_formatted_reference(tmp_path, sinc_quarter):
         biphoton.cli._write_csv(written, metadata, columns, given)
         _reference_write_csv(reference, metadata, columns, rows)
         assert written.read_bytes() == reference.read_bytes()
+
+
+def test_data_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A sinc sweep on 120 nodes and one filter point at the defaults, at
+    # one and two BLAS threads: every file they write is byte-identical.
+    # A BLAS reduction in the data path (np.vdot in sector_purity did)
+    # splits its sum by the thread count and moves the last digits; a
+    # sweep on 60 nodes never showed it.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    commands = [
+        ["sweep", "--family", "sinc", "--bsigma-range", "0.2:1.6:8", "--grid-n", "120",
+         "--out", "sweep.csv"],
+        ["filter", "--family", "sinc", "--bsigma", "0.5", "--mu-c", "1.5",
+         "--out", "filter.json"],
+    ]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "biphoton.cli", *argv],
+                cwd=workdir, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert sorted(outputs["1"]) == ["filter.csv", "filter.json", "sweep.csv"]
+    assert outputs["1"] == outputs["2"]
