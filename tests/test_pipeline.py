@@ -282,7 +282,7 @@ def test_cutoff_beyond_truncation():
 
 def test_n_theta_recovery_after_doubling():
     # t = 0.5 needs m_max = 64, which a 128-point azimuth grid cannot
-    # reach (its scan stops at 32); the adaptive stage doubles n_theta
+    # reach (its top pass stops at 32); the adaptive stage doubles n_theta
     # and the result records the value actually used.
     result = decompose("sinc", 0.5, n_theta=128)
     assert result.n_theta == 256
