@@ -7,10 +7,11 @@ sweep through :func:`row_blocks`. The tensor is
 stored azimuth-major, element [i, u, j] at (k_i, dtheta_u, k_j), so a
 radial row i is an (n_theta, N) block whose rows run over the azimuth and
 whose contiguous axis runs over the second photon's k. The sweep fills
-and hands on one radial row at a time (an (n_theta, N) block, 0.8 MiB at
-N = 200 and n_theta = 512). :func:`fill_amplitude_block` fills one
-radial row with NumPy, into workspaces the sweep allocates once,
-leaving the normalization constant to the caller.
+and hands on the distinct half of one radial row at a time (an
+(n_theta // 2 + 1, N) block, 0.4 MiB at N = 200 and n_theta = 512).
+:func:`fill_amplitude_block` fills one such block with NumPy, into
+workspaces the sweep allocates once, leaving the normalization constant
+to the caller.
 
 The formula needs xc = 2 k q cos(dtheta) only inside linear forms
 a s + b xc with s = k^2 + q^2: the sinc envelope's exponent -s - xc and
@@ -35,12 +36,10 @@ rest through the transpose.
 
 The amplitude depends on the two azimuths only through cos(dtheta), so
 on the uniform azimuth grid row u of a radial row equals row
-n_theta - u. The fill evaluates the formula on the distinct rows
-0 .. n_theta // 2 and copies the rest as one mirrored block, which
-halves the tan/exp work; :func:`biphoton.grids.angular_grid` folds its
-cosine table the same way, so every consumer sees an exactly even table.
-The consumers read only the distinct rows and weigh them by
-:func:`mirror_weights`.
+n_theta - u (:func:`biphoton.grids.angular_grid` folds its cosine table,
+so the table is exactly even). The fill evaluates and stores only the
+distinct rows 0 .. n_theta // 2; the consumers weigh them by
+:func:`mirror_weights`, which stand for the rows they mirror.
 
 Magnitudes below 2^-900 are stored as zero. Where the pump envelope
 exp(-|k + q|^2) underflows, which is most of a narrow-sinc tensor,
@@ -229,8 +228,9 @@ def fill_workspace(n, n_theta):
     """Workspaces for :func:`fill_amplitude_block` on rows of n radial nodes.
 
     Returns (table, half, work, live): ``cos_table`` of the distinct
-    half of the cosine table and three (n_theta // 2 + 1, n) buffers. A
-    sweep allocates them once and hands them to every fill call.
+    half of the cosine table and three buffers shaped like the
+    (n_theta // 2 + 1, n) half-row that the fill writes. A sweep
+    allocates them once and hands them to every fill call.
     """
     h = n_theta // 2 + 1
     _, cos_dtheta = angular_grid(n_theta)
@@ -245,16 +245,14 @@ def fill_workspace(n, n_theta):
 def fill_amplitude_block(out, family, k_row, k, t, workspace):
     """Fill out[u, j] with the unit-constant amplitude at (k_row, dtheta[u], k[j]).
 
-    The azimuths are ``angular_grid(out.shape[0])``. The formula runs
-    straight into the distinct rows u = 0 .. n_theta // 2 of out, from the
-    workspace's cosine table, 2 k_row k and k_row^2 + k^2; row
-    u > n_theta // 2 is a copy of row n_theta - u, which holds the same
-    cosine, made as one block copy.
+    The azimuths are the distinct rows u = 0 .. n_theta // 2 of
+    ``angular_grid(n_theta)``; the formula runs straight into out from the
+    workspace's cosine table, 2 k_row k and k_row^2 + k^2.
 
     Parameters
     ----------
-    out : ndarray, shape (n_theta, len(k))
-        Destination radial row, overwritten in place.
+    out : ndarray, shape (n_theta // 2 + 1, len(k))
+        Destination distinct half of a radial row, overwritten in place.
     family : AmplitudeFamily
         As for :func:`amplitude`.
     k_row : float
@@ -266,27 +264,25 @@ def fill_amplitude_block(out, family, k_row, k, t, workspace):
     workspace : tuple
         ``fill_workspace(len(k), n_theta)``.
     """
-    n_theta = out.shape[0]
-    h = n_theta // 2 + 1
     table, half, work, live = workspace
     amplitude(
         family, table, 2.0 * k_row * k, k_row * k_row + k * k, t,
-        out=out[:h], half=half, work=work, live=live,
+        out=out, half=half, work=work, live=live,
     )
-    out[h:] = out[n_theta - h : 0 : -1]
 
 
 def row_blocks(family: AmplitudeFamily, t, grid: RadialGrid, n_theta: int):
     """Sweep the unit-constant amplitude tensor on a grid one radial row at a time.
 
     Yields (i, row) with row[u, j] the amplitude at (k[i], dtheta[u], k[j])
-    on ``angular_grid(n_theta)``, shape (n_theta, N), so the full tensor
-    never materializes. The row is one buffer that the next step
+    on the distinct azimuths u = 0 .. n_theta // 2 of
+    ``angular_grid(n_theta)``, shape (n_theta // 2 + 1, N), so the full
+    tensor never materializes. The row is one buffer that the next step
     overwrites; consumers may modify it in place. The buffer and the fill
     workspaces are allocated once per sweep.
     """
     k = grid.nodes
-    row = np.empty((n_theta, grid.count))
+    row = np.empty((n_theta // 2 + 1, grid.count))
     workspace = fill_workspace(grid.count, n_theta)
     for i in range(grid.count):
         fill_amplitude_block(row, family, k[i], k, t, workspace)

@@ -156,7 +156,7 @@ def evaluate(model: AmplitudeModel, k: TransverseVector, q: TransverseVector) ->
 class _NormSum:
     """The norm integral of a row sweep, summed one radial row at a time.
 
-    add(i, row) adds row i's term and squares row[:h, i:] in place, so a
+    add(i, row) adds row i's term and squares row[:, i:] in place, so a
     consumer that also reads the row reads it first; integral is the
     total so far. unit_norm_integral and the sector pass both sum the
     norm here, so their integrals over one sweep are bitwise equal.
@@ -170,8 +170,7 @@ class _NormSum:
         self.total = 0.0
 
     def add(self, i: int, row: np.ndarray) -> None:
-        h = self.mirror.size
-        upper = np.square(row[:h, i:], out=row[:h, i:])
+        upper = np.square(row[:, i:], out=row[:, i:])
         # The diagonal column counts once; later rows read only j > i.
         self.columns[i] = self.wk[i]
         self.total += self.wk[i] * float(self.mirror @ upper @ self.columns[i:])
@@ -190,10 +189,10 @@ def unit_norm_integral(model: AmplitudeModel, grid: RadialGrid, n_theta: int) ->
     a uniform rule in the relative azimuth. Works in sigma_perp-scaled
     units with the normalization constant set to one; the sweep one
     radial row at a time keeps the memory footprint flat. The amplitude
-    is even in dtheta, so each row squares only its distinct azimuth rows
-    u = 0 .. n_theta // 2 and weighs them by 1, 2, ..., 2, 1; it is also
-    symmetric under k <-> q, so row i sums only the columns j >= i, and a
-    column j > i counts twice.
+    is even in dtheta, so the sweep fills only the distinct azimuth rows
+    u = 0 .. n_theta // 2 and the sum weighs them by 1, 2, ..., 2, 1; it
+    is also symmetric under k <-> q, so row i sums only the columns
+    j >= i, and a column j > i counts twice.
     """
     norm = _NormSum(grid, n_theta)
     for i, row in _kernels.row_blocks(model.family, model.b_sigma, grid, n_theta):

@@ -213,7 +213,7 @@ def _sector_pass(model, grid, n_theta, m_keep):
         # The fill stores no magnitude below 2^-900, so no product here
         # comes out subnormal; such products ran this projection at half
         # speed on sinc 0.25 rows.
-        np.matmul(table, row[:h, i:], out=block)
+        np.matmul(table, row[:, i:], out=block)
         # 2 pi stays off the table: folded in, it would round every table
         # entry anew and move the small high-m coefficients, which are
         # sums that cancel, by up to 1e-12 relative.

@@ -20,13 +20,16 @@ import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+# normalize and apply_filter are unused here: the filter command runs
+# _filter. The names stay bound as biphoton.cli.normalize and
+# biphoton.cli.apply_filter, which perfbench/tracing.py's BINDINGS wraps.
 from .amplitudes import AmplitudeModel, crystal_b, normalize
-from .filtering import apply_filter, slice_intensity
+from .filtering import _filter, apply_filter, slice_intensity
 from .gaussian import analytic_K, analytic_spectrum, xi_of
 from .pipeline import (
     FAMILIES,
@@ -342,10 +345,7 @@ def _cmd_slice(cfg: RunConfig, opts: dict) -> int:
 
 
 def _cmd_filter(cfg: RunConfig, opts: dict) -> int:
-    grid = replace(cfg, mu_c=0.0).radial_grid()
-    amplitude = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma)
-    model = normalize(amplitude, grid, cfg.n_theta)
-    report = apply_filter(model, **cfg.settings())
+    report = _filter(cfg)
     echo = _config_echo(cfg)
     payload = {
         "config": echo,

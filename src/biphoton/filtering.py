@@ -67,6 +67,10 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     squared ratio of the two runs' constants at the n_theta each ended
     on. The filtered quadrature starts exactly at the cutoff rather than
     multiplying a step function onto a straddling grid.
+
+    The model must be normalized and carry no cutoff; only its family and
+    b_sigma reach the runs, which take their constants from their own
+    sweeps (see _filter).
     """
     cfg = RunConfig(
         family=model.family.value, b_sigma=model.b_sigma, mu_c=mu_c, **settings
@@ -74,7 +78,16 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     _require_normalized(model)
     if model.cutoff > 0.0:
         raise ValueError("model already carries a cutoff; filter the unfiltered model")
+    return _filter(cfg)
 
+
+def _filter(cfg: RunConfig) -> FilterReport:
+    """The filtering run of apply_filter on a validated config.
+
+    The CLI's filter command calls it directly: it needs no normalized
+    model, since both runs and the surviving integral sweep the
+    unit-constant amplitude of cfg.family and cfg.b_sigma themselves.
+    """
     unfiltered = cfg.settings(mu_c=0.0)
     if cfg.mu_c == 0.0:
         original = decompose(cfg.family, cfg.b_sigma, **unfiltered).spectrum
@@ -91,7 +104,10 @@ def apply_filter(model: AmplitudeModel, mu_c: float, **settings) -> FilterReport
     constant = normalized.unit_norm_constant
 
     # At the requested n_theta, which the filtered run may double; this
-    # only guards the floor before that run.
+    # only guards the floor before that run. It cannot move after that
+    # run to reuse its constant: with an explicit m_max an overdriven
+    # cutoff makes the filtered run raise "m_max too small" first.
+    model = AmplitudeModel.from_b_sigma(cfg.family, cfg.b_sigma)
     surviving = unit_norm_integral(model, cfg.radial_grid(), cfg.n_theta)
     if surviving * constant**2 < ACCEPTANCE_FLOOR:
         raise ValueError("filter removes essentially all amplitude")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import biphoton
@@ -31,7 +32,8 @@ def sinc_quarter():
 def fill_shapes(monkeypatch):
     """Shapes of the blocks passed to _kernels.fill_amplitude_block, in call order.
 
-    Each call fills one (n_theta, N) radial row.
+    Each call fills the distinct half of one radial row, an
+    (n_theta // 2 + 1, N) block.
 
     perfbench counts the values a run fills the same way, from the size
     of the first argument.
@@ -45,3 +47,25 @@ def fill_shapes(monkeypatch):
 
     monkeypatch.setattr(_kernels, "fill_amplitude_block", counting_fill)
     return shapes
+
+
+def _full_tensor(family, t, k_rows, k, n_theta):
+    """The unit-constant amplitude at (k_rows[r], dtheta[u], k[j]) on every azimuth.
+
+    Shape (len(k_rows), n_theta, len(k)): one _kernels.amplitude call per
+    radial row on cos_table of the whole folded angular_grid(n_theta)
+    cosine table, odd n_theta included. The sweep fills only the distinct
+    rows u = 0 .. n_theta // 2; this reference does not go through it.
+    """
+    _, cos_dtheta = biphoton.angular_grid(n_theta)
+    table = _kernels.cos_table(cos_dtheta)
+    family = biphoton.AmplitudeFamily(family)
+    return np.stack(
+        [_kernels.amplitude(family, table, 2.0 * kr * k, kr * kr + k * k, t) for kr in k_rows]
+    )
+
+
+@pytest.fixture(scope="session")
+def full_tensor():
+    """The full-tensor reference, as a function of (family, t, k_rows, k, n_theta)."""
+    return _full_tensor

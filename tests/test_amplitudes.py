@@ -29,9 +29,12 @@ def _normalized(family, t, n=200, n_theta=512):
     return normalize(AmplitudeModel.from_b_sigma(family, t), grid, n_theta), grid
 
 
-def _fill_rows(out, family, k_rows, k, t):
-    """Fill out[r, u, j] at (k_rows[r], dtheta[u], k[j]), one radial row per fill."""
-    workspace = _kernels.fill_workspace(k.size, out.shape[1])
+def _fill_rows(out, family, k_rows, k, t, n_theta):
+    """Fill out[r, u, j] at (k_rows[r], dtheta[u], k[j]), u <= n_theta // 2.
+
+    One fill per radial row, each writing the distinct half-row.
+    """
+    workspace = _kernels.fill_workspace(k.size, n_theta)
     for row, kr in zip(out, k_rows):
         _kernels.fill_amplitude_block(row, family, kr, k, t, workspace)
 
@@ -121,7 +124,7 @@ def test_evaluate_sinc_removable_singularity():
 
 
 @pytest.mark.parametrize("family", ["gaussian", "sinc"])
-def test_fill_block_matches_evaluate(family):
+def test_fill_block_matches_evaluate(family, full_tensor):
     t = 0.35
     model = AmplitudeModel(AmplitudeFamily(family), b=t, norm_constant=1.0)
     rng = np.random.default_rng(11)
@@ -129,19 +132,22 @@ def test_fill_block_matches_evaluate(family):
     k = np.append(rng.uniform(0.05, 3.0, size=6), k_rows[2])
     for n_theta in (16, 15):
         dtheta, _ = angular_grid(n_theta)
-        out = np.full((k_rows.size, n_theta, k.size), np.nan)
-        _fill_rows(out, model.family, k_rows, k, t)
-        # every entry is written, the mirrored upper half included
+        out = np.full((k_rows.size, n_theta // 2 + 1, k.size), np.nan)
+        _fill_rows(out, model.family, k_rows, k, t, n_theta)
+        # every entry of the distinct half-row is written
         assert np.all(np.isfinite(out))
+        # every azimuth u matches, read from its distinct row min(u, n_theta - u)
         for r, kr in enumerate(k_rows):
             for j, kj in enumerate(k):
                 for u, du in enumerate(dtheta):
                     expected = evaluate(
                         model, TransverseVector(kr, du), TransverseVector(kj, 0.0)
                     )
-                    assert out[r, u, j] == pytest.approx(expected, rel=1e-13, abs=0.0)
-        # the fill is exactly even in dtheta: row u equals row n_theta - u
-        assert np.array_equal(out[:, 1:], out[:, :0:-1])
+                    stored = out[r, min(u, n_theta - u), j]
+                    assert stored == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # the distinct rows are bitwise those of the whole cosine table
+        reference = full_tensor(family, t, k_rows, k, n_theta)
+        assert np.array_equal(out, reference[:, : n_theta // 2 + 1])
         # k = q at dtheta = 0 puts the sinc argument at exactly zero: sinc(0) = 1.
         assert out[2, 0, -1] == pytest.approx(math.exp(-4.0 * k_rows[2] ** 2), rel=1e-14)
 
@@ -243,13 +249,13 @@ def test_fill_keeps_every_value_above_the_floor_bitwise(family, t):
     grid = build_radial_grid(200, 0.0, k_max)
     k_rows = grid.nodes[::9]
     n_theta = 512
-    out = np.full((k_rows.size, n_theta, grid.count), np.nan)
-    _fill_rows(out, family, k_rows, grid.nodes, t)
+    out = np.full((k_rows.size, n_theta // 2 + 1, grid.count), np.nan)
+    _fill_rows(out, family, k_rows, grid.nodes, t, n_theta)
     plain = _plain_half(family, k_rows, grid.nodes, t, n_theta).transpose(0, 2, 1)
     kept = np.abs(plain) >= _kernels._FLOOR
     assert np.any(kept) and np.any(~kept)
-    assert np.array_equal(out[:, : n_theta // 2 + 1], np.where(kept, plain, 0.0))
-    # The mirror rows are written too: no NaN of the starting buffer is left.
+    assert np.array_equal(out, np.where(kept, plain, 0.0))
+    # Every entry is written: no NaN of the starting buffer is left.
     assert not np.isnan(out).any()
     magnitude = np.abs(out)
     assert not np.any((magnitude > 0.0) & (magnitude < _kernels._FLOOR))
@@ -268,9 +274,9 @@ def test_sinc_fill_matches_the_sine_formula(t, mu_c):
     grid = RunConfig(family="sinc", b_sigma=t, mu_c=mu_c).radial_grid()
     k_rows = grid.nodes[::7]
     n_theta = 512
-    out = np.empty((k_rows.size, n_theta, grid.count))
-    _fill_rows(out, AmplitudeFamily.GAUSSIAN_SINC, k_rows, grid.nodes, t)
-    _, cos_dtheta = angular_grid(n_theta)
+    out = np.empty((k_rows.size, n_theta // 2 + 1, grid.count))
+    _fill_rows(out, AmplitudeFamily.GAUSSIAN_SINC, k_rows, grid.nodes, t, n_theta)
+    cos_dtheta = angular_grid(n_theta)[1][: n_theta // 2 + 1]
     s = (k_rows[:, None] * k_rows[:, None] + grid.nodes * grid.nodes)[:, None, :]
     xc = (2.0 * k_rows[:, None] * grid.nodes)[:, None, :] * cos_dtheta[:, None]
     envelope = np.exp(-(s + xc))
@@ -424,8 +430,8 @@ def test_fill_is_symmetric_under_photon_exchange(family, t):
     # The triangle sweeps rely on C(k_i, k_j, dtheta) and C(k_j, k_i, dtheta)
     # being the same double, not merely close.
     k = build_radial_grid(60, 0.0, default_k_max(t)).nodes
-    out = np.empty((k.size, 128, k.size))
-    _fill_rows(out, AmplitudeFamily(family), k, k, t)
+    out = np.empty((k.size, 65, k.size))
+    _fill_rows(out, AmplitudeFamily(family), k, k, t, 128)
     assert np.any(out != 0.0)
     assert np.array_equal(out, out.transpose(2, 1, 0))
 
@@ -436,7 +442,7 @@ import numpy as np
 from biphoton import AmplitudeFamily, build_radial_grid, default_k_max, _kernels
 family, t = AmplitudeFamily(sys.argv[1]), float(sys.argv[2])
 k = build_radial_grid(1200, 0.0, default_k_max(t)).nodes
-out = np.empty((2, 1024, k.size))
+out = np.empty((2, 513, k.size))
 workspace = _kernels.fill_workspace(k.size, 1024)
 for row, kr in zip(out, k[300::600]):
     _kernels.fill_amplitude_block(row, family, kr, k, t, workspace)
@@ -472,25 +478,24 @@ def test_row_sweep_is_one_fill_of_the_whole_tensor(family, t):
     # the whole tensor.
     family = AmplitudeFamily(family)
     grid = build_radial_grid(37, 0.0, default_k_max(t))
-    full = np.empty((grid.count, 256, grid.count))
-    _fill_rows(full, family, grid.nodes, grid.nodes, t)
+    full = np.empty((grid.count, 129, grid.count))
+    _fill_rows(full, family, grid.nodes, grid.nodes, t, 256)
     rows = []
     for i, row in _kernels.row_blocks(family, t, grid, 256):
         assert i == len(rows)
-        assert row.shape == (256, grid.count)
+        assert row.shape == (129, grid.count)
         rows.append(row.copy())
         row[...] = np.nan
     assert np.array_equal(np.stack(rows), full)
 
 
 @pytest.mark.parametrize("n_theta", [15, 64])
-def test_unit_norm_integral_sums_every_azimuth(n_theta):
+def test_unit_norm_integral_sums_every_azimuth(n_theta, full_tensor):
     # The norm reads the distinct azimuth rows with mirror weights; an odd
-    # n_theta has no unpaired middle row.
+    # n_theta has no unpaired middle row. The reference sums every azimuth.
     model = AmplitudeModel.from_b_sigma("sinc", 0.5)
     grid = build_radial_grid(12, 0.0, default_k_max(0.5))
-    full = np.empty((grid.count, n_theta, grid.count))
-    _fill_rows(full, model.family, grid.nodes, grid.nodes, 0.5)
+    full = full_tensor("sinc", 0.5, grid.nodes, grid.nodes, n_theta)
     wk = grid.weights * grid.nodes
     expected = np.einsum("i,iuj,j->", wk, full * full, wk) * (2.0 * np.pi) ** 2 / n_theta
     assert unit_norm_integral(model, grid, n_theta) == pytest.approx(expected, rel=1e-13)

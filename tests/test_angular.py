@@ -5,7 +5,6 @@ from sinc_oracle import converged_sinc_coefficients
 from biphoton import (
     AmplitudeModel,
     RunConfig,
-    _kernels,
     SectorKernel,
     adaptive_sectors,
     analytic_P_m,
@@ -187,13 +186,13 @@ def test_sector_tol_validation(gauss_model_grid):
 
 
 @pytest.mark.parametrize("n_theta", [512, 1024])
-def test_cosine_projection_matches_real_fft(n_theta):
+def test_cosine_projection_matches_real_fft(n_theta, full_tensor):
     t = 0.3
     grid = build_radial_grid(24, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma("sinc", t), grid, n_theta)
     scale = model.unit_norm_constant / n_theta
-    rows = _kernels.row_blocks(model.family, t, grid, n_theta)
-    reference = np.stack([np.fft.rfft(row, axis=0).real * scale for _, row in rows])
+    full = full_tensor("sinc", t, grid.nodes, grid.nodes, n_theta)
+    reference = np.fft.rfft(full, axis=1).real * scale
     # Row m of the pass, times sqrt(P_m), is the Nystrom-weighted kernel
     # 2 pi G_m sqrt(w_i k_i w_j k_j) of the normalized amplitude.
     sqwk = np.sqrt(grid.weights * grid.nodes)
@@ -209,17 +208,18 @@ def test_cosine_projection_matches_real_fft(n_theta):
 
 
 @pytest.mark.parametrize("family, t", [("gaussian", 0.5), ("sinc", 0.3)])
-def test_scan_probabilities_sum_to_one(family, t):
+def test_scan_probabilities_sum_to_one(family, t, full_tensor):
     # The first pass of the adaptive schedule stops at m = 8, its first
-    # rung. A real-FFT reference holds every m: by Parseval, on the grid
-    # the model was normalized on, its signed P_m (m = 0 and n_theta / 2
-    # once, the rest twice) add up to the norm, and the pass matches it
-    # per m.
+    # rung. A real-FFT reference over every azimuth holds every m: by
+    # Parseval, on the grid the model was normalized on, its signed P_m
+    # (m = 0 and n_theta / 2 once, the rest twice) add up to the norm,
+    # and the pass matches it per m.
     grid = build_radial_grid(60, 0.0, default_k_max(t))
     model = normalize(AmplitudeModel.from_b_sigma(family, t), grid, 512)
     wk = grid.weights * grid.nodes
     reference = np.zeros(257)
-    for i, row in _kernels.row_blocks(model.family, t, grid, 512):
+    full = full_tensor(family, t, grid.nodes, grid.nodes, 512)
+    for i, row in enumerate(full):
         g = np.square(np.fft.rfft(row, axis=0).real)
         reference += wk[i] * np.einsum("j,mj->m", wk, g)
     reference *= (2.0 * np.pi * model.unit_norm_constant / 512) ** 2

@@ -6,13 +6,15 @@ rename or deletion of any of them, or a changed return that a probe
 unpacks, crashes the traced benchmark, so the fast suite checks them
 here: the names directly, the returns through one traced decompose and
 one traced filter command. The fill-count tests below pin, in call
-order, the radial rows each path fills on a small grid: one tensor for a
-decompose that stops on the first rung (the sector pass normalizes from
-its own sweep), two when the schedule stops between rungs (the
-first-rung pass, then the top pass), six for a filter command, and one
-more top pass per doubled n_theta. perfbench/test_perfbench.py still
-pins 3 and 8 tensors per gauss-fill and filter-cli point, the counts
-before the sector pass normalized.
+order, the distinct half-rows (n_theta // 2 + 1, N) each path fills on a
+small grid: one tensor for a decompose that stops on the first rung (the
+sector pass normalizes from its own sweep), two when the schedule stops
+between rungs (the first-rung pass, then the top pass), five for a
+filter command, and one more top pass per doubled n_theta.
+perfbench/test_perfbench.py still pins 3 and 8 tensors per gauss-fill
+and filter-cli point, the counts before the sector pass normalized, and
+counts a tensor as 200^2 512 values, where a sweep now fills
+200^2 257.
 """
 
 import importlib
@@ -74,7 +76,7 @@ def test_traced_runs_give_every_probed_span_its_attrs(tracing, tmp_path):
 
 def _rows(n_theta, passes, n=40):
     """The shapes of `passes` sweeps of an n-node tensor at n_theta, in order."""
-    return [(n_theta, n)] * (n * passes)
+    return [(n_theta // 2 + 1, n)] * (n * passes)
 
 
 def test_decompose_fills_one_tensor(fill_shapes):
@@ -83,13 +85,13 @@ def test_decompose_fills_one_tensor(fill_shapes):
     assert fill_shapes == _rows(512, 1)
 
 
-def test_filter_command_fills_six_tensors(fill_shapes, tmp_path, capsys):
-    # The CLI's normalize, the unfiltered run's two passes, the surviving
-    # integral and the filtered run's two passes.
+def test_filter_command_fills_five_tensors(fill_shapes, tmp_path, capsys):
+    # The unfiltered run's two passes, the surviving integral and the
+    # filtered run's two passes; the command normalizes no model of its own.
     argv = ["filter", "--family", "sinc", "--bsigma", "0.5", "--mu-c", "1.5"]
     argv += ["--grid-n", "40", "--out", str(tmp_path / "filter.json")]
     assert biphoton.cli.main(argv) == 0
-    assert fill_shapes == _rows(512, 6)
+    assert fill_shapes == _rows(512, 5)
 
 
 def test_schedule_stopping_between_rungs_fills_two_tensors(fill_shapes):

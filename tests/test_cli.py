@@ -445,6 +445,25 @@ def test_filter_report_and_spectrum(workdir, capsys):
     assert "K_filtered" in capsys.readouterr().out
 
 
+def test_filter_command_is_the_library_filter(workdir, capsys):
+    # The command runs apply_filter's path on its config without a model
+    # of its own; a caller that normalizes first gets the same report,
+    # bit for bit.
+    args = ["filter", "--family", "sinc", "--bsigma", "0.5", "--mu-c", "1.5"]
+    assert main([*args, "--grid-n", "40"]) == 0
+    payload = json.loads((workdir / "filter.json").read_text())
+    _, _, rows = _read_csv(workdir / "filter.csv")
+    cfg = biphoton.RunConfig(family="sinc", b_sigma=0.5, grid_n=40)
+    bare = biphoton.AmplitudeModel.from_b_sigma("sinc", 0.5)
+    model = biphoton.normalize(bare, cfg.radial_grid(), cfg.n_theta)
+    report = biphoton.apply_filter(model, 1.5, grid_n=40)
+    assert payload["acceptance"] == report.acceptance
+    assert payload["k_filtered"] == report.k_filtered
+    assert payload["k_original"] == report.k_original
+    entries = [(int(n), int(m), float(lam)) for n, m, lam in rows]
+    assert entries == report.filtered_spectrum.entries
+
+
 def test_filter_overdriven_cutoff_exits_1(workdir, capsys):
     args = [
         "filter", "--family", "gaussian", "--bsigma", "0.5", "--mu-c", "7.0",
